@@ -39,6 +39,7 @@ from .bregman import (
     uniform_simplex_weights,
 )
 from .numerics import lp_norm
+from .projections import clip_into_l1_ball
 from .results import SolverResult
 
 
@@ -191,16 +192,6 @@ def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
     return float(max(np.max(col), np.max(col_m)))
 
 
-def _clip_into_l1_ball(alpha: np.ndarray, tau: float) -> np.ndarray:
-    """Rescale away the few ulps by which averaging may overshoot tau."""
-    for _ in range(4):
-        l1 = float(np.sum(np.abs(alpha)))
-        if l1 <= tau:
-            break
-        alpha = alpha * (tau / l1)
-    return alpha
-
-
 def game_solve(
     phi: np.ndarray, f: np.ndarray, cfg: GameConfig
 ) -> tuple[SolverResult, GameCertificate]:
@@ -255,7 +246,8 @@ def game_solve(
         state.dual = max_update(state.dual, residual_t, eta, geometry, ball)
         state.t += 1
 
-    alpha = _clip_into_l1_ball(state.alpha_sum / t_rounds, cfg.tau)
+    # averaging may overshoot tau by a few ulps
+    alpha = clip_into_l1_ball(state.alpha_sum / t_rounds, cfg.tau)
     achieved = lp_norm(phi @ alpha - f, q)
     res = SolverResult(
         alpha=alpha,

@@ -83,15 +83,25 @@ def l1_project(w: np.ndarray, tau: float) -> np.ndarray:
     rho = int(np.nonzero(u > (cum - tau) / j)[0][-1])
     theta = (cum[rho] - tau) / (rho + 1)
     out = np.sign(w) * np.maximum(mags - theta, 0.0)
-    # the result sits on the l1 sphere of radius tau up to roundoff; nudge
-    # the few stray ulps inward so the output is feasible in floating
-    # point and a second application is an exact no-op
+    # the result sits on the l1 sphere of radius tau up to roundoff; the
+    # nudge makes it feasible in floating point, so that a second
+    # application is an exact no-op
+    return clip_into_l1_ball(out, tau)
+
+
+def clip_into_l1_ball(x: np.ndarray, tau: float) -> np.ndarray:
+    """Rescale away the few ulps by which a vector on the l1 sphere of
+    radius tau may overshoot it, as summed by ``np.sum(np.abs(x))``.
+
+    Returns `x` itself when it is already feasible, a rescaled copy
+    otherwise.
+    """
     for _ in range(4):
-        total = float(np.sum(np.abs(out)))
+        total = float(np.sum(np.abs(x)))
         if total <= tau:
             break
-        out *= tau / total
-    return out
+        x = x * (tau / total)
+    return x
 
 
 def project_k_tau(w: np.ndarray, c: ConstraintSet) -> np.ndarray:

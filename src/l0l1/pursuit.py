@@ -6,15 +6,20 @@
 * `clash_solve` - the same outer pattern with the l1 budget enforced in
   the inner solves: active set expansion, greedy descent with shrinkage
   over the extended support, combinatorial selection, and an l1-aware
-  de-bias on the pruned support.  With tau = inf the inner solves collapse
-  to plain restricted least squares and the iterates match `sp_solve`.
+  de-bias on the pruned support.  Each inner solve is l1-constrained
+  least squares on at most 2k columns, solved exactly by a primal
+  active-set method on the sign pattern, warm-started from the previous
+  iterate.  With tau = inf the inner solves collapse to plain restricted
+  least squares and the iterates match `sp_solve`.
 * `lasso_pg_solve` - projected gradient over the full coordinate space
   with the l1 ball projection, fixed step 1/L.
 * `iht_solve` - fixed-step iterative hard thresholding, kept as a
   comparison baseline.
 
 All top-k selections break magnitude ties toward the lowest index, so
-every solver is deterministic given its inputs.
+every solver is deterministic given its inputs.  Every solver rejects a
+non-finite Phi or f, and an f whose length is not Phi's row count, with
+ValueError.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import lp_norm, restricted_lsq
-from .projections import hard_threshold, l1_project, top_k_support
+from .numerics import as_matrix, as_vector, lp_norm, restricted_lsq
+from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
 from .results import IterateTrace, SolverResult
 
 
@@ -48,12 +53,13 @@ CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
 
 @dataclass
 class PursuitConfig:
-    """Outer-loop budgets plus inner-solver settings.
+    """Outer-loop budgets of the pursuits.
 
     `tau` may be +inf for SP/IHT-style runs where the norm budget is
-    inactive.  `tolerance` is the relative iterate-change stop; the inner
-    settings govern the l1-constrained projected-gradient subproblems
-    (restricted least squares always runs at its own tight defaults).
+    inactive.  `tolerance` is the relative iterate-change stop.  The inner
+    solves take no settings: the l1-constrained least-squares subproblems
+    of `clash_solve` are solved exactly, and restricted least squares runs
+    at its own tight defaults.
 
     `continuation` controls the warm-start portfolio of `clash_solve`:
     "auto" uses `CONTINUATION_PORTFOLIO` when tau is finite and a single
@@ -65,8 +71,6 @@ class PursuitConfig:
     tau: float = np.inf
     tolerance: float = 1e-6
     max_iterations: int = 100
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 500
     continuation: str | tuple[tuple[float, ...], ...] = "auto"
 
     def __post_init__(self):
@@ -92,22 +96,12 @@ class ContractionReport:
     violations: list[tuple[int, float, float]]
 
 
-def _power_iter_gram(gram: np.ndarray, iters: int = 20, rel_tol: float = 1e-6) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration (deterministic
-    all-ones start)."""
-    n = gram.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        nw = float(np.sqrt(w @ w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if lam > 0 and abs(nw - lam) <= rel_tol * nw:
-            return nw
-        lam = nw
-    return lam
+def _checked(phi, f) -> tuple[np.ndarray, np.ndarray]:
+    """Phi and f as float64 arrays with finite entries, f of length M."""
+    phi, f = as_matrix(phi), as_vector(f)
+    if f.size != phi.shape[0]:
+        raise ValueError(f"f has length {f.size}, but Phi has {phi.shape[0]} rows")
+    return phi, f
 
 
 def _power_iter_cols(a: np.ndarray, iters: int = 20, rel_tol: float = 1e-6) -> float:
@@ -127,43 +121,266 @@ def _power_iter_cols(a: np.ndarray, iters: int = 20, rel_tol: float = 1e-6) -> f
     return lam
 
 
-def _l1_restricted_pg(
+def _l1_restricted_lsq(
     phi: np.ndarray,
     f: np.ndarray,
     support: np.ndarray,
     tau: float,
-    x0: np.ndarray | None,
-    tol: float,
-    max_iter: int,
+    warm: np.ndarray | None,
 ) -> np.ndarray:
-    """minimize ||f - Phi v||_2^2 over supp(v) in `support`, ||v||_1 <= tau,
-    by projected gradient with fixed step 1/L on the column submatrix.
+    """Exact minimizer of ||f - Phi v||_2^2 over supp(v) in `support`,
+    ||v||_1 <= tau.
 
-    Stops when the projected-gradient mapping norm drops to `tol`.  Returns
-    a full-length vector, zero off the support.
+    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and a primal
+    active-set method finds the minimizer, warm-started from the signs of
+    `warm` (see `_l1_active_set`).  When the unconstrained least-squares
+    fit lies inside the ball the method ends at it, off the l1 sphere;
+    when it lies outside, even by rounding, the method ends on the sphere.
+    Returns a full-length vector, zero off the support, whose l1 norm
+    summed over the full length is at most tau.
     """
-    n = phi.shape[1]
+    m, n = phi.shape
     out = np.zeros(n)
     if support.size == 0:
         return out
     a_s = phi[:, support]
     gram = a_s.T @ a_s
     b = a_s.T @ f
-    lam = _power_iter_gram(gram)
-    if lam == 0.0:
-        return out
-    step = 1.0 / lam
-    x = np.zeros(support.size) if x0 is None else x0[support].copy()
-    x = l1_project(x, tau)
-    for _ in range(max_iter):
-        g = gram @ x - b
-        x_new = l1_project(x - step * g, tau)
-        moved = float(np.sqrt(np.sum((x_new - x) ** 2)))
-        x = x_new
-        if moved / step <= tol:
-            break
-    out[support] = x
-    return out
+    start = np.zeros(support.size) if warm is None else warm[support]
+    out[support] = _l1_active_set(gram, b, tau, start, m)
+    return clip_into_l1_ball(out, tau)
+
+
+# Columns per block when G_AA^{-1} is formed from scratch.  OpenBLAS runs
+# LAPACK on matrices this small in one thread; on larger ones its threads
+# stall for milliseconds per call when parallel solves occupy every core.
+_BLOCK = 64
+
+
+class _ActiveSet:
+    """An ordered active set A of columns of a Gram matrix G, with a sign
+    and a value per index and G_AA^{-1}, in buffers sized for `cap`
+    indices.  Indices enter at the end and leave by swapping the last one
+    into their place, so that every update of G_AA^{-1} is a rank-one
+    change made in place in O(|A|^2).
+    """
+
+    def __init__(self, gram: np.ndarray, cap: int):
+        self.gram = gram
+        self.size = 0
+        self.idx = np.empty(cap, dtype=np.intp)
+        self.sgn = np.empty(cap)
+        self.x = np.empty(cap)
+        self._hinv = np.empty((cap, cap))
+
+    @property
+    def hinv(self) -> np.ndarray:
+        return self._hinv[: self.size, : self.size]
+
+    def coupling(self, j: int) -> tuple[np.ndarray, float]:
+        """c = G_AA^{-1} G_Aj and the Schur complement G_jj - G_Aj^T c, the
+        square of the Cholesky pivot that column j would add."""
+        col = self.gram[self.idx[: self.size], j]
+        c = self.hinv @ col
+        return c, float(self.gram[j, j] - col @ c)
+
+    def independent(self, j: int, schur: float) -> bool:
+        """Whether column j is numerically outside the span of A's."""
+        return schur > np.sqrt(np.finfo(np.float64).eps) * self.gram[j, j]
+
+    def enter(self, j: int, sj: float, xj: float, c: np.ndarray, schur: float) -> None:
+        p = self.size
+        h = self._hinv
+        h[:p, :p] += np.outer(c, c / schur)
+        h[:p, p] = h[p, :p] = -c / schur
+        h[p, p] = 1.0 / schur
+        self.idx[p], self.sgn[p], self.x[p] = j, sj, xj
+        self.size = p + 1
+
+    def leave(self, i: int) -> None:
+        p = self.size - 1
+        h = self._hinv
+        for arr in (self.idx, self.sgn, self.x):
+            arr[i] = arr[p]
+        h[[i, p], : p + 1] = h[[p, i], : p + 1]
+        h[: p + 1, [i, p]] = h[: p + 1, [p, i]]
+        col = h[:p, p].copy()
+        h[:p, :p] -= np.outer(col, col / h[p, p])
+        self.size = p
+
+    def rebuild(self) -> bool:
+        """Form G_AA^{-1} again from scratch, bordering in `_BLOCK` indices
+        at a time; False if a column lies numerically in the span of the
+        ones before it (its Cholesky pivot squared is at most
+        sqrt(eps) G_jj, as in `independent`)."""
+        gram, h, n = self.gram, self._hinv, self.size
+        eps = np.finfo(np.float64).eps
+        for p in range(0, n, _BLOCK):
+            q = min(p + _BLOCK, n)
+            old, new = self.idx[:p], self.idx[p:q]
+            cross = gram[np.ix_(old, new)]
+            c = h[:p, :p] @ cross
+            schur = gram[np.ix_(new, new)] - cross.T @ c
+            try:
+                pivots = np.diag(np.linalg.cholesky(schur)) ** 2
+            except np.linalg.LinAlgError:
+                return False
+            if np.any(pivots <= np.sqrt(eps) * np.diag(gram)[new]):
+                return False
+            s_inv = np.linalg.inv(schur)
+            cs = c @ s_inv
+            h[:p, :p] += cs @ c.T
+            h[:p, p:q] = -cs
+            h[p:q, :p] = -cs.T
+            h[p:q, p:q] = s_inv
+        return True
+
+
+def _first_zero(xa: np.ndarray, sgn: np.ndarray, d: np.ndarray) -> tuple[float, int]:
+    """The step t >= 0 at which xa + t d first has a coordinate reach zero
+    from its sign, and that coordinate's position; (inf, -1) if none
+    moves toward zero."""
+    closing = sgn * d < 0
+    if not np.any(closing):
+        return np.inf, -1
+    ratios = np.full(xa.size, np.inf)
+    ratios[closing] = -xa[closing] / d[closing]
+    i = int(np.argmin(ratios))
+    return max(float(ratios[i]), 0.0), i
+
+
+def _l1_active_set(
+    gram: np.ndarray, b: np.ndarray, tau: float, start: np.ndarray, rows: int
+) -> np.ndarray:
+    """Primal active-set method for min 1/2 x^T G x - b^T x over
+    ||x||_1 <= tau (Osborne, Presnell & Turlach 2000).
+
+    The state is an active set A with signs s and G_AA nonsingular, an
+    iterate x supported on A with sign(x_A) in {0, s}, and whether
+    ||x||_1 = s^T x_A = tau is held as an equality.  Each pivot moves x
+    toward the minimizer on the current face: x_A = u - lam v with
+    u = G_AA^{-1} b_A, v = G_AA^{-1} s and lam = (s^T u - tau) / (s^T v)
+    when the equality is held, x_A = u otherwise.  A coordinate that would
+    change sign stops the step where it reaches zero and leaves A; the l1
+    sphere stops a step that is not held to it, and the equality is held
+    from then on.  At the face minimizer a negative lam releases the
+    equality; otherwise the coordinate j off A that most violates
+    |g_j| <= lam, g = b - G x, joins A with the sign of g_j.  If column j
+    lies in the span of A's columns, as it must once |A| reaches `rows`,
+    it is traded in at constant residual instead, which lowers ||x||_1,
+    until a coordinate of A reaches zero and leaves.  An index whose
+    entry is undone by the very next step entered on rounding noise and
+    may not enter again.  Pivots update G_AA^{-1} in O(|A|^2) (see
+    `_ActiveSet`).  When no pivot applies, G_AA^{-1} is formed again from
+    scratch and the conditions are checked again before x is returned.
+
+    Starts from the signs of `start` scaled onto the sphere, or from x = 0
+    if `start` is zero or its Gram block is singular, as it is with more
+    nonzeros than `rows`.  Raises RuntimeError if the pivots run out or
+    the final active set is singular.
+    """
+    size = b.size
+    eps = np.finfo(np.float64).eps
+    g_max = np.max(np.diag(gram))
+    # rounding bound of g_j = b_j - G_j x, |S| terms with ||x||_1 <= tau;
+    # the error of x_A adds the same amplified by the condition number of
+    # G_AA, estimated at each pivot as g_max max(diag(G_AA^{-1}))
+    slack = size * eps * (np.max(np.abs(b)) + g_max * tau)
+    state = _ActiveSet(gram, min(size, rows))
+    warm = np.nonzero(start)[0]
+    if 0 < warm.size <= rows:
+        state.size = warm.size
+        state.idx[: warm.size] = warm
+        state.x[: warm.size] = start[warm] * (tau / np.sum(np.abs(start[warm])))
+        state.sgn[: warm.size] = np.sign(state.x[: warm.size])
+        if not state.rebuild():
+            state.size = 0
+    held = state.size > 0
+    fresh, entered = True, False
+    barred = np.zeros(size, dtype=bool)
+    for _ in range(20 * size + 50):
+        p = state.size
+        if p == 0:
+            # x = 0 lies inside the ball: enter along the steepest coordinate
+            j = int(np.argmax(np.abs(b)))
+            if abs(b[j]) <= slack:
+                return np.zeros(size)
+            state.enter(j, np.sign(b[j]), 0.0, np.zeros(0), gram[j, j])
+            held, fresh = False, False
+            continue
+        act, sgn, xa, hinv = state.idx[:p], state.sgn[:p], state.x[:p], state.hinv
+        u = hinv @ b[act]
+        if held:
+            v = hinv @ sgn
+            lam = (sgn @ u - tau) / (sgn @ v)
+            z = u - lam * v
+            # lam < 0: u lies inside the ball, and the step from the face
+            # minimizer z toward it does not meet the sphere
+            release = sgn @ u < sgn @ z
+        else:
+            lam, z = 0.0, u
+        d = z - xa
+        was_entered, entered = entered, False
+        if was_entered and sgn[-1] * d[-1] < 0:
+            # an index entering on a true violation moves off zero with
+            # its sign: this one entered on rounding, and may not again
+            barred[act[-1]] = True
+            step, drop = 0.0, p - 1
+        else:
+            step, drop = _first_zero(xa, sgn, d)
+            if step >= 1.0:
+                step, drop = 1.0, -1
+        if not held:
+            rise = float(sgn @ d)
+            if rise > 0.0 and float(sgn @ xa) + step * rise > tau:
+                xa += max((tau - float(sgn @ xa)) / rise, 0.0) * d
+                held, fresh = True, False
+                continue
+        if drop >= 0:
+            xa += step * d
+            state.leave(drop)
+            fresh = False
+            continue
+        xa[:] = z
+        if held and release:
+            held, fresh = False, False
+            continue
+        tol = slack * (1.0 + g_max * np.max(np.diag(hinv)))
+        x = np.zeros(size)
+        x[act] = xa
+        g = b - gram @ x
+        excess = np.abs(g) - max(lam, 0.0)
+        excess[act] = -np.inf
+        excess[barred] = -np.inf
+        j = int(np.argmax(excess))
+        if excess[j] > tol + 1e-10 * max(lam, 0.0):
+            sj = np.sign(g[j])
+            c, schur = state.coupling(j)
+            if p < rows and state.independent(j, schur):
+                state.enter(j, sj, 0.0, c, schur)
+                fresh, entered = False, True
+                continue
+            trade = -sj * c
+            if sgn @ trade < -1.0:
+                # x_j = t s_j and x_A - t s_j c leave the residual as it
+                # is while ||x||_1 falls, until a coordinate of A is zero
+                t, i = _first_zero(xa, sgn, trade)
+                xa += t * trade
+                state.leave(i)
+                c, schur = state.coupling(j)
+                state.enter(j, sj, t * sj, c, schur)
+                held, fresh = False, False
+                continue
+        if fresh:
+            return x
+        fresh = True
+        if not state.rebuild():
+            raise RuntimeError(
+                f"l1-constrained least squares: singular active set of {p}"
+            )
+    raise RuntimeError(
+        f"l1-constrained least squares: no optimum after {20 * size + 50} pivots"
+    )
 
 
 def sp_solve(
@@ -183,8 +400,7 @@ def sp_solve(
     relative iterate change drops below the tolerance, or at the
     iteration cap.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    phi, f = _checked(phi, f)
     m, n = phi.shape
     k = cfg.sparsity
     if k > m:
@@ -267,9 +483,7 @@ def _clash_loop(
     def inner(support: np.ndarray, warm: np.ndarray | None) -> np.ndarray:
         if not norm_active:
             return restricted_lsq(phi, f, support)
-        return _l1_restricted_pg(
-            phi, f, support, tau, warm, cfg.inner_tol, cfg.inner_max_iter
-        )
+        return _l1_restricted_lsq(phi, f, support, tau, warm)
 
     alpha = alpha0
     alpha_prev = alpha0
@@ -322,9 +536,13 @@ def clash_solve(
     the <= 2k extended support; (3) combinatorial selection - prune to the
     k largest entries; (4) de-bias - l1-constrained least squares on the
     pruned support, keeping the norm budget active so every emitted
-    iterate satisfies both constraints.  With tau = inf steps 2 and 4 are
-    plain restricted least squares and the iterates match subspace
-    pursuit's on the same inputs.
+    iterate satisfies both constraints, its l1 norm summed over the full
+    length at most tau.  Steps 2 and 4 are solved exactly
+    (`_l1_restricted_lsq`) by a primal active-set method on the sign
+    pattern, warm-started from the current iterate (step 2) or the pruned
+    vector (step 4); it raises RuntimeError if it fails to reach the
+    optimum.  With tau = inf steps 2 and 4 are plain restricted least
+    squares and the iterates match subspace pursuit's on the same inputs.
 
     The iteration map can stall on fixed points short of the best
     solution near its recovery phase transition, so with a finite tau the
@@ -340,8 +558,7 @@ def clash_solve(
     wins, ties keeping the earliest run; the reported trace and iteration
     count are the winning full-budget run's.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    phi, f = _checked(phi, f)
     m, n = phi.shape
     k = cfg.sparsity
     tau = cfg.tau
@@ -409,8 +626,7 @@ def lasso_pg_solve(
     squared objective after each step, which is non-increasing for this
     step size.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    phi, f = _checked(phi, f)
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
     n = phi.shape[1]
@@ -455,8 +671,7 @@ def iht_solve(
     `step = None` selects 1/L with L from power iteration on Phi^T Phi.
     The history holds the residual 2-norm after each step.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    phi, f = _checked(phi, f)
     n = phi.shape[1]
     if k > n:
         raise ValueError(f"sparsity {k} exceeds dimension {n}")

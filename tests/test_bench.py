@@ -132,7 +132,7 @@ class TestRunExperiment:
             if rec.solver in ("sp", "clash"):
                 assert rec.nonzeros <= plan.k
             if rec.solver in ("clash", "lasso-pg", "game-l2"):
-                assert rec.l1_norm <= rec.tau + 1e-8
+                assert rec.l1_norm <= rec.tau
 
     def test_common_instances_across_grid(self, tmp_path):
         # the same trial index sees the same seed at every grid point

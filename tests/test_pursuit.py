@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0l1.numerics import lp_norm, restricted_lsq
-from l0l1.projections import hard_threshold, l1_project, top_k_support
+from l0l1.projections import hard_threshold, top_k_support
 from l0l1.pursuit import (
     PursuitConfig,
-    _l1_restricted_pg,
+    _l1_restricted_lsq,
     clash_solve,
     contraction_check,
     iht_solve,
@@ -100,14 +102,23 @@ class TestClash:
         )
         for it in trace.iterates:
             assert np.count_nonzero(it) <= 12
-            assert np.abs(it).sum() <= tau + 1e-8
+            assert np.abs(it).sum() <= tau
         assert np.count_nonzero(res.alpha) <= 12
-        assert np.abs(res.alpha).sum() <= tau + 1e-8
+        assert np.abs(res.alpha).sum() <= tau
+
+    def test_full_length_l1_within_tau_at_half_budget(self):
+        # nudged onto the ball over the support alone, the full-length sum
+        # of some of these outputs used to round one ulp above tau
+        for i in range(10):
+            p = generate(ProblemSpec(n=200, m=64, k=20, sigma=0.05,
+                                     seed=derive_seed(1, i), noise_mode="fixed-norm"))
+            tau = 0.5 * p.tau_star
+            res, _ = clash_solve(p.phi, p.f, PursuitConfig(sparsity=20, tau=tau))
+            assert np.sum(np.abs(res.alpha)) <= tau
 
     def test_debias_never_increases_residual(self):
         p = desk_instance(10, sigma=0.01)
         k, tau = 12, 0.9 * p.tau_star
-        cfg = PursuitConfig(sparsity=k, tau=tau)
         alpha = np.zeros(p.phi.shape[1])
         support = np.empty(0, dtype=np.int64)
         for _ in range(5):
@@ -115,11 +126,9 @@ class TestClash:
             go = grad.copy()
             go[support] = 0.0
             extended = np.union1d(support, top_k_support(go, k))
-            v = _l1_restricted_pg(p.phi, p.f, extended, tau, alpha, 1e-8, 500)
+            v = _l1_restricted_lsq(p.phi, p.f, extended, tau, alpha)
             gamma = hard_threshold(v, k)
-            debiased = _l1_restricted_pg(
-                p.phi, p.f, np.nonzero(gamma)[0], tau, gamma, 1e-8, 500
-            )
+            debiased = _l1_restricted_lsq(p.phi, p.f, np.nonzero(gamma)[0], tau, gamma)
             res_gamma = lp_norm(p.f - p.phi @ gamma, 2)
             res_debiased = lp_norm(p.f - p.phi @ debiased, 2)
             assert res_debiased <= res_gamma + 1e-10
@@ -145,6 +154,164 @@ class TestClash:
             PursuitConfig(sparsity=2, tolerance=0.0)
         with pytest.raises(ValueError):
             PursuitConfig(sparsity=2, continuation="sometimes")
+
+
+def lsq_objective(phi_s, f, x):
+    r = f - phi_s @ x
+    return float(r @ r)
+
+
+def assert_kkt(phi_s, f, x, tau, abs_tol):
+    """Optimality of x for min ||f - Phi_S x||^2 over ||x||_1 <= tau: with
+    g = Phi_S^T (f - Phi_S x), g = lam sign(x) on supp(x) for one lam >= 0,
+    |g_j| <= lam off it, and lam > 0 only on the sphere.  `abs_tol` covers
+    rounding where lam is zero."""
+    g = phi_s.T @ (f - phi_s @ x)
+    act = x != 0
+    lam = float(np.mean(g[act] * np.sign(x[act]))) if act.any() else 0.0
+    assert lam >= -abs_tol
+    np.testing.assert_allclose(g[act] * np.sign(x[act]), lam, rtol=1e-9, atol=abs_tol)
+    assert np.all(np.abs(g[~act]) <= lam * (1 + 1e-9) + abs_tol)
+    assert lam <= abs_tol or np.sum(np.abs(x)) >= tau * (1 - 1e-12)
+
+
+def rounding_level(phi_s, x):
+    """Relative accuracy of g reachable: 1e-9, or the rounding amplified by
+    the condition number of the Gram matrix of Phi_S or of its final
+    support, whichever is larger."""
+    act = x != 0
+    kappa = np.linalg.cond(phi_s) ** 2
+    if act.any():
+        kappa = max(kappa, np.linalg.cond(phi_s[:, act]) ** 2)
+    return max(1e-9, 100 * np.finfo(float).eps * kappa)
+
+
+def gaussian_case(seed, m, n, sigma=0.1):
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=(m, n)) / np.sqrt(m)
+    truth = np.zeros(n)
+    truth[: max(1, n // 4)] = rng.normal(size=max(1, n // 4))
+    return phi, phi @ truth + sigma * rng.normal(size=m), truth
+
+
+class TestL1RestrictedLsq:
+    """The exact l1-constrained least-squares inner solve of CLASH."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_objective_and_kkt_against_projected_gradient(self, seed):
+        phi, f, _ = gaussian_case(derive_seed(600, seed), m=60, n=120)
+        rng = np.random.default_rng(seed)
+        support = np.sort(rng.choice(120, size=40, replace=False))
+        phi_s = phi[:, support]
+        x_ls = np.linalg.lstsq(phi_s, f, rcond=None)[0]
+        tau = 0.4 * np.sum(np.abs(x_ls))
+        warm = np.zeros(120)
+        warm[support[:10]] = rng.normal(size=10)
+        out = _l1_restricted_lsq(phi, f, support, tau, warm)
+        assert np.all(np.delete(out, support) == 0.0)
+        assert np.sum(np.abs(out)) <= tau
+        ours = lsq_objective(phi_s, f, out[support])
+        ref = lasso_pg_solve(phi_s, f, tau, tol=1e-12).alpha
+        assert ours <= lsq_objective(phi_s, f, ref) * (1 + 1e-10)
+        assert_kkt(phi_s, f, out[support], tau, abs_tol=0.0)
+
+    def test_empty_support(self):
+        phi, f, _ = gaussian_case(1, m=10, n=20)
+        out = _l1_restricted_lsq(phi, f, np.empty(0, dtype=np.int64), 1.0, None)
+        assert np.array_equal(out, np.zeros(20))
+
+    def test_warm_none_zero_and_given_agree(self):
+        phi, f, _ = gaussian_case(2, m=50, n=80)
+        support = np.arange(0, 80, 2)
+        tau = 0.3 * np.sum(np.abs(np.linalg.lstsq(phi[:, support], f, rcond=None)[0]))
+        warm = np.zeros(80)
+        warm[support[::3]] = 1.0
+        outs = [
+            _l1_restricted_lsq(phi, f, support, tau, w)
+            for w in (None, np.zeros(80), warm, -warm)
+        ]
+        for out in outs[1:]:
+            np.testing.assert_allclose(out, outs[0], atol=1e-10)
+
+    def test_budget_above_least_squares_norm_returns_the_fit(self):
+        phi, f, _ = gaussian_case(3, m=40, n=60)
+        support = np.arange(25)
+        x_ls = np.linalg.lstsq(phi[:, support], f, rcond=None)[0]
+        for tau in (np.sum(np.abs(x_ls)) * 1.001, 1e6):
+            out = _l1_restricted_lsq(phi, f, support, tau, None)
+            np.testing.assert_allclose(out[support], x_ls, rtol=1e-9, atol=1e-12)
+
+    def test_noiseless_budget_within_ulps_of_the_fit(self):
+        # tau = ||alpha*||_1 exactly: the least-squares fit on a support
+        # containing the truth lies on the sphere up to rounding, in
+        # either direction, and must be returned as the answer
+        for seed in range(5):
+            phi, _, truth = gaussian_case(derive_seed(700, seed), m=80, n=60)
+            f = phi @ truth
+            support = np.arange(50)
+            l1 = np.sum(np.abs(truth))
+            for tau in (l1, np.nextafter(l1, 0.0), l1 * (1 - 4e-16), l1 * (1 + 4e-16)):
+                out = _l1_restricted_lsq(phi, f, support, tau, truth)
+                assert np.sum(np.abs(out)) <= tau
+                np.testing.assert_allclose(out, truth, atol=1e-9)
+
+    @pytest.mark.parametrize("frac", [0.2, 5.0])
+    def test_more_columns_than_rows(self, frac):
+        phi, f, _ = gaussian_case(4, m=20, n=60)
+        support = np.arange(0, 60, 2)
+        phi_s = phi[:, support]
+        # minimum-l1 interpolant norm is below this for frac = 5
+        tau = frac * np.sum(np.abs(np.linalg.lstsq(phi_s, f, rcond=None)[0]))
+        out = _l1_restricted_lsq(phi, f, support, tau, phi.T @ f)
+        assert np.sum(np.abs(out)) <= tau
+        scale = np.max(np.abs(phi_s.T @ f))
+        assert_kkt(phi_s, f, out[support], tau,
+                   abs_tol=rounding_level(phi_s, out[support]) * scale)
+        ref = lasso_pg_solve(phi_s, f, tau, tol=1e-12).alpha
+        ours = lsq_objective(phi_s, f, out[support])
+        assert ours <= lsq_objective(phi_s, f, ref) * (1 + 1e-10) + 1e-12 * (f @ f)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        frac=st.floats(0.01, 2.0),
+        warm_kind=st.sampled_from(["none", "truth", "random"]),
+    )
+    def test_property_feasible_and_optimal(self, seed, m, n, frac, warm_kind):
+        phi, f, truth = gaussian_case(seed, m, n)
+        rng = np.random.default_rng(seed + 1)
+        warm = {"none": None, "truth": truth, "random": rng.normal(size=n)}[warm_kind]
+        scale = np.max(np.abs(phi.T @ f))
+        tau = frac * np.sum(np.abs(truth)) + 1e-3
+        support = np.arange(n)
+        out = _l1_restricted_lsq(phi, f, support, tau, warm)
+        assert np.all(np.isfinite(out))
+        assert np.sum(np.abs(out)) <= tau
+        assert_kkt(phi, f, out, tau, abs_tol=rounding_level(phi, out) * scale)
+
+
+class TestInputChecks:
+    SOLVERS = {
+        "clash": lambda phi, f: clash_solve(phi, f, PursuitConfig(sparsity=2, tau=1.0)),
+        "sp": lambda phi, f: sp_solve(phi, f, PursuitConfig(sparsity=2)),
+        "lasso-pg": lambda phi, f: lasso_pg_solve(phi, f, 1.0),
+        "iht": lambda phi, f: iht_solve(phi, f, 2),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("defect", ["nan in f", "nan in phi", "short f"])
+    def test_bad_input_raises_value_error(self, solver, defect):
+        phi, f, _ = gaussian_case(5, m=12, n=30)
+        if defect == "nan in f":
+            f[3] = np.nan
+        elif defect == "nan in phi":
+            phi[2, 7] = np.nan
+        else:
+            f = f[:-1]
+        with pytest.raises(ValueError):
+            self.SOLVERS[solver](phi, f)
 
 
 class TestLassoPG:
