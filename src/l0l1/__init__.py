@@ -31,7 +31,7 @@ from .game import (
     max_update,
     sparse_best_response,
 )
-from .numerics import lp_norm, mat_vec, restricted_lsq
+from .numerics import lp_norm, restricted_lsq
 from .projections import ConstraintSet, hard_threshold, l1_project, project_k_tau
 from .pursuit import (
     PursuitConfig,
@@ -64,7 +64,6 @@ __all__ = [
     "max_update",
     "sparse_best_response",
     "lp_norm",
-    "mat_vec",
     "restricted_lsq",
     "ConstraintSet",
     "hard_threshold",

@@ -25,6 +25,8 @@ Floats are written with 17 significant digits for lossless round-trips.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -279,6 +281,32 @@ def _cell_worker(args) -> list[TrialRecord]:
     return _run_cell(*args)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_in_workers(fn, tasks: list, workers: int) -> list:
+    """`[fn(t) for t in tasks]` on `workers` fresh processes, each with its
+    BLAS pinned to one thread.
+
+    Workers are spawned, not forked, so they load numpy anew and read the
+    pins from their environment; forked workers would inherit the caller's
+    multithreaded BLAS and oversubscribe the cores.  The caller's
+    environment is pinned only while the pool lives and restored after.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            return list(pool.map(fn, tasks, chunksize=1))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -321,8 +349,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     grid = plan.grid()
     tasks = [(plan, gi, t) for gi in range(len(grid)) for t in range(plan.trials)]
     if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            chunks = list(pool.map(_cell_worker, tasks, chunksize=1))
+        chunks = _map_in_workers(_cell_worker, tasks, plan.workers)
     else:
         chunks = [_run_cell(*t) for t in tasks]
 

@@ -17,12 +17,18 @@ within an additive D*G / (2 sqrt(T)) of the best l1-feasible residual.
 Two instantiations are provided: q = 2 plays in the squared-Euclidean
 geometry (additive updates), q = inf plays in the scale-2 entropy geometry
 on the lifted simplex (multiplicative updates).  The Dantzig-selector form
-is the q = inf solver run verbatim on the precomputed pair
-(Phi^T Phi, Phi^T f).
+is the q = inf game on the pair (Phi^T Phi, Phi^T f), played through Phi
+and Phi^T without storing the N x N matrix Phi^T Phi.
+
+Both forms share one round loop that sees its matrix A only through the
+correlations A^T P and single columns of A.  A round costs one
+correlation: the best response is 1-sparse, so its residual is one
+column of A, scaled, minus f.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +44,7 @@ from .bregman import (
     simplex_to_dual,
     uniform_simplex_weights,
 )
-from .numerics import lp_norm
+from .numerics import as_system, lp_norm
 from .projections import clip_into_l1_ball
 from .results import SolverResult
 
@@ -137,12 +143,18 @@ def sparse_best_response(
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    r = np.asarray(phi, dtype=np.float64).T @ p
-    i = int(np.argmax(np.abs(r)))
+    i, sign = _best_index(np.asarray(phi, dtype=np.float64).T @ p)
     out = np.zeros(phi.shape[1])
-    if r[i] != 0.0:
-        out[i] = -tau * np.sign(r[i])
+    if sign != 0.0:
+        out[i] = -tau * sign
     return out
+
+
+def _best_index(r: np.ndarray) -> tuple[int, float]:
+    """A largest-magnitude index of the correlations r (ties -> lowest
+    index) and the sign of r there, 0.0 when r is zero."""
+    i = int(np.argmax(np.abs(r)))
+    return i, float(np.sign(r[i]))
 
 
 def max_update(
@@ -181,15 +193,24 @@ def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
     f = np.asarray(f, dtype=np.float64)
     if tau == 0:
         return lp_norm(f, q)
+    if np.isinf(q):
+        return _linf_bound(np.max(np.abs(phi), axis=1), f, tau)
     plus = tau * phi - f[:, None]
     minus = -tau * phi - f[:, None]
-    if np.isinf(q):
-        col = np.max(np.abs(plus), axis=0)
-        col_m = np.max(np.abs(minus), axis=0)
-    else:
-        col = np.sqrt(np.sum(plus * plus, axis=0))
-        col_m = np.sqrt(np.sum(minus * minus, axis=0))
+    col = np.sqrt(np.sum(plus * plus, axis=0))
+    col_m = np.sqrt(np.sum(minus * minus, axis=0))
     return float(max(np.max(col), np.max(col_m)))
+
+
+def _linf_bound(row_max: np.ndarray, f: np.ndarray, tau: float) -> float:
+    """max over j and both signs of ||tau A_j -/+ f||_inf, given
+    row_max[i] = max_j |A_ij|.
+
+    max(|a - b|, |a + b|) = |a| + |b|, and rounding keeps the identity and
+    is monotone, so this equals the maximum over the 2N candidates bit for
+    bit without forming them.
+    """
+    return float(np.max(tau * row_max + np.abs(f)))
 
 
 def game_solve(
@@ -202,15 +223,75 @@ def game_solve(
     1-sparse feasible plays), D (geometry-specific Bregman diameter from
     the initial dual strategy: 1 for p = 2 started at zero,
     sqrt(2 ln(2M + 1)) for the p = 1 lift started uniform), and the
-    additive bound D*G / (2 sqrt(T)).
+    additive bound D*G / (2 sqrt(T)).  Raises ValueError unless Phi and f
+    are finite and f has one entry per row of Phi.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    m, n = phi.shape
-    t_rounds = cfg.rounds
-    q = cfg.q
+    phi, f = as_system(phi, f)
+    return _play(
+        correlate=lambda p: phi.T @ p,
+        column=lambda i: phi[:, i],
+        apply=lambda a: phi @ a,
+        f=f,
+        n=phi.shape[1],
+        g_bound=loss_bound(phi, f, cfg.tau, cfg.q),
+        cfg=cfg,
+    )
 
-    g_bound = loss_bound(phi, f, cfg.tau, q)
+
+def dantzig_game_solve(
+    phi: np.ndarray, f: np.ndarray, cfg: GameConfig
+) -> tuple[SolverResult, GameCertificate]:
+    """Dantzig-selector form: the q = inf game on (Phi^T Phi, Phi^T f).
+
+    Rounds apply G = Phi^T Phi as Phi^T (Phi p) and take its column i as
+    Phi^T phi_i, computed once per played i, so no N x N matrix is stored; only the loss bound reads
+    the entries of G, once per solve, a block of columns at a time.  The
+    certificate and residuals refer to the transformed system, i.e. the
+    achieved residual is ||Phi^T Phi alpha - Phi^T f||_inf.  Raises
+    ValueError unless Phi and f are finite and f has one entry per row of
+    Phi.
+    """
+    phi, f = as_system(phi, f)
+    fg = phi.T @ f
+    gram = lambda x: phi.T @ (phi @ x)
+    return _play(
+        correlate=gram,
+        # a solve plays about k distinct columns over its T rounds
+        column=functools.cache(lambda i: phi.T @ phi[:, i]),
+        apply=gram,
+        f=fg,
+        n=phi.shape[1],
+        g_bound=_linf_bound(_gram_row_max(phi), fg, cfg.tau),
+        cfg=GameConfig(rounds=cfg.rounds, q=np.inf, tau=cfg.tau, eta=cfg.eta),
+    )
+
+
+def _gram_row_max(phi: np.ndarray) -> np.ndarray:
+    """max_j |G_ij| for G = Phi^T Phi, from products of Phi^T with blocks
+    of its columns.  Each block product covers its columns' rows of G on
+    and below the diagonal; G is symmetric, so its row maxima count for
+    the rows below too."""
+    n, block = phi.shape[1], 128
+    out = np.zeros(n)
+    for j in range(0, n, block):
+        part = np.abs(phi[:, j:].T @ phi[:, j : j + block])
+        np.maximum(out[j : j + block], np.max(part, axis=0), out=out[j : j + block])
+        np.maximum(out[j:], np.max(part, axis=1), out=out[j:])
+    return out
+
+
+def _play(correlate, column, apply, f, n, g_bound, cfg):
+    """The round loop shared by both forms, on a matrix A of shape
+    (f.size, n) seen only through `correlate(p)` = A^T p, `column(i)` =
+    A[:, i] and, once at the end, `apply(a)` = A a.
+
+    A round answers P with the 1-sparse play -tau sign(r_i) e_i, whose
+    residual A play - f is the column lookup -tau sign(r_i) A[:, i] - f
+    (equal to the dense product, which only adds exact zeros), and whose
+    loss is <P, residual>.
+    """
+    m = f.size
+    t_rounds, q, tau = cfg.rounds, cfg.q, cfg.tau
     if np.isinf(q):
         geometry = lifted_entropy_geometry(m)
         ball = DualBall(1, m)
@@ -225,51 +306,37 @@ def game_solve(
         decode = lambda p: p
 
     regret_bound = diameter * g_bound / (2.0 * np.sqrt(t_rounds))
-    state = GameState(dual=dual, play_counts=np.zeros(n, dtype=np.int64), tau=cfg.tau)
+    state = GameState(dual=dual, play_counts=np.zeros(n, dtype=np.int64), tau=tau)
 
     if g_bound == 0.0:
-        # f = 0 and Phi = 0: every feasible play is optimal, return zero
-        alpha = np.zeros(n)
-        res = SolverResult(alpha, 0.0, 0.0, [], 0, "degenerate: zero loss bound")
+        # f = 0 and A = 0: every feasible play is optimal, return zero
+        res = SolverResult(np.zeros(n), 0.0, 0.0, [], 0, "degenerate: zero loss bound")
         return res, GameCertificate(0.0, diameter, 0.0, 0.0)
 
     eta = 2.0 * diameter / (g_bound * np.sqrt(t_rounds)) if cfg.eta == "auto" else float(cfg.eta)
 
     for _ in range(t_rounds):
         p_t = decode(state.dual)
-        play = sparse_best_response(p_t, phi, f, cfg.tau)
-        state.history.append(loss(p_t, play, phi, f))
-        nz = np.nonzero(play)[0]
-        if nz.size:
-            state.play_counts[nz[0]] += 1 if play[nz[0]] > 0 else -1
-        residual_t = phi @ play - f
+        i, sign = _best_index(correlate(p_t))
+        if sign != 0.0:
+            residual_t = (-tau * sign) * column(i) - f
+            state.play_counts[i] -= int(sign)
+        else:
+            residual_t = -f
+        state.history.append(float(p_t @ residual_t))
         state.dual = max_update(state.dual, residual_t, eta, geometry, ball)
         state.t += 1
 
     # averaging may overshoot tau by a few ulps
-    alpha = clip_into_l1_ball(state.alpha_sum / t_rounds, cfg.tau)
-    achieved = lp_norm(phi @ alpha - f, q)
+    alpha = clip_into_l1_ball(state.alpha_sum / t_rounds, tau)
+    residual = apply(alpha) - f
+    achieved = lp_norm(residual, q)
     res = SolverResult(
         alpha=alpha,
-        residual_l2=lp_norm(phi @ alpha - f, 2),
+        residual_l2=lp_norm(residual, 2),
         residual_q=achieved,
         history=state.history,
         iterations=t_rounds,
         termination=f"completed {t_rounds} rounds",
     )
     return res, GameCertificate(g_bound, diameter, regret_bound, achieved)
-
-
-def dantzig_game_solve(
-    phi: np.ndarray, f: np.ndarray, cfg: GameConfig
-) -> tuple[SolverResult, GameCertificate]:
-    """Dantzig-selector form: the q = inf game run on (Phi^T Phi, Phi^T f).
-
-    The certificate and residuals refer to the transformed system, i.e.
-    the achieved residual is ||Phi^T Phi alpha - Phi^T f||_inf.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    gram = phi.T @ phi
-    fg = phi.T @ np.asarray(f, dtype=np.float64)
-    cfg_inf = GameConfig(rounds=cfg.rounds, q=np.inf, tau=cfg.tau, eta=cfg.eta)
-    return game_solve(gram, fg, cfg_inf)

@@ -35,6 +35,15 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a linear system: Phi as a finite matrix and f as a finite
+    vector with one entry per row of Phi."""
+    phi, f = as_matrix(phi), as_vector(f)
+    if f.size != phi.shape[0]:
+        raise ValueError(f"f has length {f.size}, but Phi has {phi.shape[0]} rows")
+    return phi, f
+
+
 def as_index_set(support, n: int) -> np.ndarray:
     """Validate a support set: sorted, distinct column indices in [0, n)."""
     s = np.asarray(support, dtype=np.int64).ravel()
@@ -45,22 +54,6 @@ def as_index_set(support, n: int) -> np.ndarray:
     if np.any(np.diff(s) <= 0):
         raise ValueError("support indices must be strictly increasing")
     return s
-
-
-def mat_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Dense matrix-vector product A @ x.
-
-    Raises ValueError on a dimension mismatch.  The product is evaluated by
-    the platform BLAS, which is deterministic for fixed inputs on a fixed
-    machine; that is the reproducibility level the benchmark relies on.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {a.shape}, vector has length {x.shape}"
-        )
-    return a @ x
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:

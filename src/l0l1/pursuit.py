@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, lp_norm, restricted_lsq
+from .numerics import as_system, lp_norm, restricted_lsq
 from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
 from .results import IterateTrace, SolverResult
 
@@ -94,14 +94,6 @@ class ContractionReport:
     rho: float
     noise_term: float
     violations: list[tuple[int, float, float]]
-
-
-def _checked(phi, f) -> tuple[np.ndarray, np.ndarray]:
-    """Phi and f as float64 arrays with finite entries, f of length M."""
-    phi, f = as_matrix(phi), as_vector(f)
-    if f.size != phi.shape[0]:
-        raise ValueError(f"f has length {f.size}, but Phi has {phi.shape[0]} rows")
-    return phi, f
 
 
 def _power_iter_cols(a: np.ndarray, iters: int = 20, rel_tol: float = 1e-6) -> float:
@@ -400,7 +392,7 @@ def sp_solve(
     relative iterate change drops below the tolerance, or at the
     iteration cap.
     """
-    phi, f = _checked(phi, f)
+    phi, f = as_system(phi, f)
     m, n = phi.shape
     k = cfg.sparsity
     if k > m:
@@ -558,7 +550,7 @@ def clash_solve(
     wins, ties keeping the earliest run; the reported trace and iteration
     count are the winning full-budget run's.
     """
-    phi, f = _checked(phi, f)
+    phi, f = as_system(phi, f)
     m, n = phi.shape
     k = cfg.sparsity
     tau = cfg.tau
@@ -626,7 +618,7 @@ def lasso_pg_solve(
     squared objective after each step, which is non-increasing for this
     step size.
     """
-    phi, f = _checked(phi, f)
+    phi, f = as_system(phi, f)
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
     n = phi.shape[1]
@@ -671,7 +663,7 @@ def iht_solve(
     `step = None` selects 1/L with L from power iteration on Phi^T Phi.
     The history holds the residual 2-norm after each step.
     """
-    phi, f = _checked(phi, f)
+    phi, f = as_system(phi, f)
     n = phi.shape[1]
     if k > n:
         raise ValueError(f"sparsity {k} exceeds dimension {n}")

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from l0l1.bench import (
     ExperimentPlan,
+    _map_in_workers,
     main,
     preset_plan,
     read_plan,
@@ -106,6 +108,14 @@ class TestRunExperiment:
         a = open(tmp_path / "a.csv", "rb").read()
         assert a == open(tmp_path / "b.csv", "rb").read()
         assert a == open(tmp_path / "c.csv", "rb").read()
+
+    def test_workers_start_with_blas_pinned(self, monkeypatch):
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = {name: os.environ.get(name) for name in names}
+        assert _map_in_workers(os.getenv, names, 2) == ["1", "1", "1"]
+        assert {name: os.environ.get(name) for name in names} == before
 
     def test_summary_matches_recomputation(self, tmp_path):
         plan = small_plan(tmp_path)

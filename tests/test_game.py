@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from l0l1.game import (
     sparse_best_response,
 )
 from l0l1.numerics import lp_norm
+from l0l1.projections import clip_into_l1_ball
 from l0l1.pursuit import lasso_pg_solve
 
 
@@ -172,6 +175,112 @@ class TestLossBound:
                 for s in (1.0, -1.0)
             ]
             np.testing.assert_allclose(loss_bound(phi, f, tau, q), max(cands), atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["random", "tau zero", "f zero"])
+    def test_linf_closed_form_equals_exhaustive_maximum(self, case):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+            phi = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 1e3])
+            f = np.zeros(m) if case == "f zero" else rng.normal(size=m)
+            tau = 0.0 if case == "tau zero" else float(rng.uniform(0.1, 5.0))
+            cands = [
+                np.max(np.abs(s * tau * phi[:, j] - f))
+                for j in range(n)
+                for s in (1.0, -1.0)
+            ]
+            assert loss_bound(phi, f, tau, np.inf) == max(cands)
+
+
+def reference_game(phi, f, cfg):
+    """The game loop written out from the public pieces: a dense best
+    response, its loss, the residual Phi play - f, and the average of the
+    plays as tau times their signed counts over T."""
+    m, n = phi.shape
+    if np.isinf(cfg.q):
+        geometry, ball = lifted_entropy_geometry(m), DualBall(1, m)
+        diameter = np.sqrt(2.0 * np.log(2 * m + 1))
+        dual, decode = uniform_simplex_weights(m), simplex_to_dual
+    else:
+        geometry, ball = euclidean_geometry(m), DualBall(2, m)
+        diameter, dual, decode = 1.0, np.zeros(m), lambda p: p
+    g_bound = loss_bound(phi, f, cfg.tau, cfg.q)
+    eta = 2.0 * diameter / (g_bound * np.sqrt(cfg.rounds))
+    counts, history = np.zeros(n, dtype=np.int64), []
+    for _ in range(cfg.rounds):
+        p = decode(dual)
+        play = sparse_best_response(p, phi, f, cfg.tau)
+        history.append(loss(p, play, phi, f))
+        counts += np.sign(play).astype(np.int64)
+        dual = max_update(dual, phi @ play - f, eta, geometry, ball)
+    alpha = clip_into_l1_ball(cfg.tau * counts / cfg.rounds, cfg.tau)
+    return alpha, history, g_bound, lp_norm(phi @ alpha - f, cfg.q)
+
+
+class TestRoundLoop:
+    @pytest.mark.parametrize("q", [2, np.inf])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_loop_bit_for_bit(self, seed, q):
+        rng = np.random.default_rng(100 + seed)
+        m, n = int(rng.integers(5, 31)), int(rng.integers(10, 81))
+        phi = rng.normal(size=(m, n)) / np.sqrt(m)
+        f = rng.normal(size=m)
+        cfg = GameConfig(rounds=int(rng.integers(5, 40)), q=q, tau=float(rng.uniform(0.5, 3.0)))
+        res, cert = game_solve(phi, f, cfg)
+        alpha, history, g_bound, achieved = reference_game(phi, f, cfg)
+        assert np.array_equal(res.alpha, alpha)
+        assert res.history == history
+        assert cert.loss_bound == g_bound
+        assert cert.achieved_residual == achieved == res.residual_q
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dantzig_form_matches_explicit_gram(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        m, n = int(rng.integers(5, 31)), int(rng.integers(10, 81))
+        phi = rng.normal(size=(m, n)) / np.sqrt(m)
+        f = rng.normal(size=m)
+        cfg = GameConfig(rounds=30, q=np.inf, tau=float(rng.uniform(0.5, 3.0)))
+        res, cert = dantzig_game_solve(phi, f, cfg)
+        ref, ref_cert = game_solve(phi.T @ phi, phi.T @ f, cfg)
+        assert np.array_equal(res.alpha, ref.alpha)
+        np.testing.assert_allclose(res.history, ref.history, rtol=1e-12, atol=1e-12 * cert.loss_bound)
+        for name in ("loss_bound", "diameter", "regret_bound", "achieved_residual"):
+            np.testing.assert_allclose(getattr(cert, name), getattr(ref_cert, name), rtol=1e-12)
+        np.testing.assert_allclose(res.residual_l2, ref.residual_l2, rtol=1e-12)
+
+    def test_dantzig_form_stores_no_gram_matrix(self):
+        rng = np.random.default_rng(300)
+        m, n = 20, 2000
+        phi = rng.normal(size=(m, n)) / np.sqrt(m)
+        f = rng.normal(size=m)
+        tracemalloc.start()
+        try:
+            dantzig_game_solve(phi, f, GameConfig(rounds=10, tau=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+
+class TestInputChecks:
+    SOLVERS = {
+        "game-l2": lambda phi, f: game_solve(phi, f, GameConfig(rounds=5, q=2)),
+        "game-linf": lambda phi, f: dantzig_game_solve(phi, f, GameConfig(rounds=5)),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("defect", ["nan in f", "nan in phi", "short f"])
+    def test_bad_input_raises_value_error(self, solver, defect):
+        rng = np.random.default_rng(12)
+        phi, f = rng.normal(size=(12, 30)), rng.normal(size=12)
+        if defect == "nan in f":
+            f[3] = np.nan
+        elif defect == "nan in phi":
+            phi[2, 7] = np.nan
+        else:
+            f = f[:-1]
+        with pytest.raises(ValueError):
+            self.SOLVERS[solver](phi, f)
 
 
 class TestGameSolve:

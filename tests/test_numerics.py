@@ -4,7 +4,6 @@ import pytest
 from l0l1.numerics import (
     lp_norm,
     load_matrix_auto,
-    mat_vec,
     read_matrix,
     read_matrix_csv,
     read_vector,
@@ -34,33 +33,6 @@ def gaussian_elimination_solve(a, b):
         s = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, n))
         x[r] = s / a[r][r]
     return np.array(x)
-
-
-class TestMatVec:
-    def test_identity(self):
-        assert np.array_equal(mat_vec(np.eye(2), np.array([3.0, -1.0])), [3.0, -1.0])
-
-    def test_hand_sum(self):
-        out = mat_vec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_zero_vector(self):
-        out = mat_vec(np.ones((1, 3)), np.zeros(3))
-        assert np.array_equal(out, [0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mat_vec(np.eye(2), np.zeros(3))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            a = rng.normal(size=(6, 9))
-            x, y = rng.normal(size=9), rng.normal(size=9)
-            s, t = rng.normal(), rng.normal()
-            lhs = mat_vec(a, s * x + t * y)
-            rhs = s * mat_vec(a, x) + t * mat_vec(a, y)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestLpNorm:
