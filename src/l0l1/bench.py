@@ -290,7 +290,9 @@ def _map_in_workers(fn, tasks: list, workers: int) -> list:
 
     Workers are spawned, not forked, so they load numpy anew and read the
     pins from their environment; forked workers would inherit the caller's
-    multithreaded BLAS and oversubscribe the cores.  The caller's
+    multithreaded BLAS and oversubscribe the cores.  A spawned worker
+    imports the caller's main module again, so scripts must guard their
+    top-level work with ``if __name__ == "__main__":``.  The caller's
     environment is pinned only while the pool lives and restored after.
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
@@ -345,6 +347,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     ``.meta`` provenance file, and the timing sidecar.
 
     Returns a dict with the output paths and the summary rows.
+
+    With ``plan.workers > 1`` the cells run in spawned processes, which
+    import the caller's main module again; a script that calls this at
+    top level must do so under ``if __name__ == "__main__":``.
     """
     grid = plan.grid()
     tasks = [(plan, gi, t) for gi in range(len(grid)) for t in range(plan.trials)]

@@ -22,8 +22,9 @@ and Phi^T without storing the N x N matrix Phi^T Phi.
 
 Both forms share one round loop that sees its matrix A only through the
 correlations A^T P and single columns of A.  A round costs one
-correlation: the best response is 1-sparse, so its residual is one
-column of A, scaled, minus f.
+correlation and one column: the best response is 1-sparse, so its
+residual is one column of A, scaled, minus f.  On Phi the column is a
+lookup; in the Dantzig form it is the product Phi^T phi_i.
 """
 
 from __future__ import annotations
@@ -244,20 +245,25 @@ def dantzig_game_solve(
     """Dantzig-selector form: the q = inf game on (Phi^T Phi, Phi^T f).
 
     Rounds apply G = Phi^T Phi as Phi^T (Phi p) and take its column i as
-    Phi^T phi_i, computed once per played i, so no N x N matrix is stored; only the loss bound reads
-    the entries of G, once per solve, a block of columns at a time.  The
-    certificate and residuals refer to the transformed system, i.e. the
-    achieved residual is ||Phi^T Phi alpha - Phi^T f||_inf.  Raises
-    ValueError unless Phi and f are finite and f has one entry per row of
-    Phi.
+    Phi^T phi_i.  The last M columns played are kept, no more memory than
+    Phi itself (a solve plays about k distinct columns), so no N x N
+    matrix is stored; only the loss bound reads the entries of G, once
+    per solve, a block of columns at a time.  The certificate and
+    residuals refer to the transformed system, i.e. the achieved residual
+    is ||Phi^T Phi alpha - Phi^T f||_inf.  Raises ValueError unless Phi
+    and f are finite and f has one entry per row of Phi.
     """
     phi, f = as_system(phi, f)
     fg = phi.T @ f
     gram = lambda x: phi.T @ (phi @ x)
+
+    @functools.lru_cache(maxsize=phi.shape[0])
+    def gram_column(i):
+        return phi.T @ phi[:, i]
+
     return _play(
         correlate=gram,
-        # a solve plays about k distinct columns over its T rounds
-        column=functools.cache(lambda i: phi.T @ phi[:, i]),
+        column=gram_column,
         apply=gram,
         f=fg,
         n=phi.shape[1],
