@@ -38,18 +38,41 @@ from . import __version__
 from .game import GameConfig, dantzig_game_solve, game_solve
 from .numerics import load_matrix_auto, lp_norm, read_vector, write_vector
 from .pursuit import PursuitConfig, clash_solve, iht_solve, lasso_pg_solve, sp_solve
+from .results import SolverResult
 from .synth import (
     INV_SQRT_M,
     UNIT_VARIANCE,
     GeneratedProblem,
     ProblemSpec,
     derive_seed,
+    format_value,
     generate,
+    parse_field,
+    read_fields,
     rip_probe,
+    write_fields,
 )
 
 EXPERIMENTS = ("dantzig-noise", "noise-resilience", "tau-sweep", "custom")
-SOLVERS = ("sp", "clash", "lasso-pg", "iht", "game-l2", "game-linf")
+
+# Each solver as (phi, f, k, tau, rounds) -> SolverResult.  The entry
+# points are looked up in this module's namespace at call time, so a
+# wrapper bound in place of one (as a tracer does) sees the calls.
+_SOLVE = {
+    "sp": lambda phi, f, k, tau, rounds: sp_solve(phi, f, PursuitConfig(sparsity=k))[0],
+    "clash": lambda phi, f, k, tau, rounds: clash_solve(
+        phi, f, PursuitConfig(sparsity=k, tau=tau)
+    )[0],
+    "lasso-pg": lambda phi, f, k, tau, rounds: lasso_pg_solve(phi, f, tau),
+    "iht": lambda phi, f, k, tau, rounds: iht_solve(phi, f, k),
+    "game-l2": lambda phi, f, k, tau, rounds: game_solve(
+        phi, f, GameConfig(rounds=rounds, q=2, tau=tau)
+    )[0],
+    "game-linf": lambda phi, f, k, tau, rounds: dantzig_game_solve(
+        phi, f, GameConfig(rounds=rounds, q=np.inf, tau=tau)
+    )[0],
+}
+SOLVERS = tuple(_SOLVE)
 
 # reference thresholds quoted in recovery analyses of pursuit iterations;
 # an empirical probe can only lower-bound the true constant, so reports
@@ -57,10 +80,6 @@ SOLVERS = ("sp", "clash", "lasso-pg", "iht", "game-l2", "game-linf")
 DELTA_CONTRACTIVE = 0.3658
 DELTA_EXACT_RECOVERY = 0.38427
 
-RECORD_HEADER = (
-    "experiment,trial,seed,solver,sigma,tau_mult,tau,k,"
-    "rel_error,abs_error,residual,iterations,nonzeros,l1_norm"
-)
 SUMMARY_HEADER = (
     "experiment,sigma,tau_mult,solver,trials,"
     "median_rel_error,median_abs_error,median_residual,median_iterations"
@@ -94,23 +113,12 @@ class TrialRecord:
     wall_seconds: float
 
     def csv_row(self) -> str:
-        vals = (
-            self.experiment,
-            self.trial,
-            self.seed,
-            self.solver,
-            self.sigma,
-            self.tau_mult,
-            self.tau,
-            self.k,
-            self.rel_error,
-            self.abs_error,
-            self.residual,
-            self.iterations,
-            self.nonzeros,
-            self.l1_norm,
-        )
-        return ",".join(_fmt(v) for v in vals)
+        return format_value([getattr(self, name) for name in RECORD_FIELDS])
+
+
+# the records CSV's columns: every field but the wall time
+RECORD_FIELDS = tuple(f_.name for f_ in fields(TrialRecord) if f_.name != "wall_seconds")
+RECORD_HEADER = ",".join(RECORD_FIELDS)
 
 
 @dataclass
@@ -150,6 +158,17 @@ class ExperimentPlan:
         unknown = [s for s in self.solvers if s not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; choose from {SOLVERS}")
+        if self.game_rounds is not None and self.game_rounds < 1:
+            raise ValueError("game_rounds must be >= 1")
+        # the instance settings, checked as each cell will check them
+        ProblemSpec(
+            n=self.n,
+            m=self.m,
+            k=self.k,
+            sigma=min(self.sigma_grid),
+            matrix_scaling=self.matrix_scaling,
+            noise_mode=self.noise_mode,
+        )
 
     @property
     def rounds(self) -> int:
@@ -213,24 +232,14 @@ def run_solver(
     solver's native norm: the data-domain 2-norm for sp/clash/lasso-pg/
     iht/game-l2, and the correlated-residual inf-norm for game-linf.
     """
-    phi, f, k = problem.phi, problem.f, problem.spec.k
-    if name == "sp":
-        res, _ = sp_solve(phi, f, PursuitConfig(sparsity=k))
-    elif name == "clash":
-        res, _ = clash_solve(phi, f, PursuitConfig(sparsity=k, tau=tau))
-    elif name == "lasso-pg":
-        res = lasso_pg_solve(phi, f, tau)
-    elif name == "iht":
-        res = iht_solve(phi, f, k)
-    elif name == "game-l2":
-        res, _ = game_solve(phi, f, GameConfig(rounds=rounds, q=2, tau=tau))
-    elif name == "game-linf":
-        res, _ = dantzig_game_solve(
-            phi, f, GameConfig(rounds=rounds, q=np.inf, tau=tau)
-        )
-    else:
-        raise ValueError(f"unknown solver {name!r}")
+    res = _solve(name, problem.phi, problem.f, problem.spec.k, tau, rounds)
     return res.alpha, res.residual_q, res.iterations
+
+
+def _solve(name: str, phi, f, k: int, tau: float, rounds: int) -> SolverResult:
+    if name not in _SOLVE:
+        raise ValueError(f"unknown solver {name!r}; choose from {SOLVERS}")
+    return _SOLVE[name](phi, f, k, tau, rounds)
 
 
 def _run_cell(plan: ExperimentPlan, grid_index: int, trial: int) -> list[TrialRecord]:
@@ -309,25 +318,15 @@ def _map_in_workers(fn, tasks: list, workers: int) -> list:
                 os.environ[name] = value
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def summarize_records(records: list[TrialRecord]) -> list[tuple]:
     """Median-aggregate records per (experiment, sigma, tau_mult, solver)
-    grid cell, preserving first-appearance order."""
+    grid cell, in sorted key order."""
     groups: dict[tuple, list[TrialRecord]] = {}
-    order: list[tuple] = []
     for rec in records:
         key = (rec.experiment, rec.sigma, rec.tau_mult, rec.solver)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault(key, []).append(rec)
     out = []
-    for key in sorted(order):
+    for key in sorted(groups):
         grp = groups[key]
         out.append(
             key
@@ -371,44 +370,18 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     summary_path = plan.out + ".summary.csv"
     meta_path = plan.out + ".meta"
 
-    with open(records_path, "w") as fh:
-        fh.write(RECORD_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
-
-    with open(timing_path, "w") as fh:
-        fh.write("experiment,trial,solver,sigma,tau_mult,wall_seconds\n")
-        for rec in records:
-            vals = (rec.experiment, rec.trial, rec.solver, rec.sigma, rec.tau_mult,
-                    rec.wall_seconds)
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
-
     summary = summarize_records(records)
-    with open(summary_path, "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for row in summary:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    timing = ("experiment", "trial", "solver", "sigma", "tau_mult", "wall_seconds")
+    timing_rows = [format_value([getattr(rec, c) for c in timing]) for rec in records]
+    for path, header, rows in (
+        (records_path, RECORD_HEADER, [rec.csv_row() for rec in records]),
+        (timing_path, ",".join(timing), timing_rows),
+        (summary_path, SUMMARY_HEADER, [format_value(list(row)) for row in summary]),
+    ):
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in (header, *rows))
 
-    with open(meta_path, "w") as fh:
-        fh.write(f"package_version={__version__}\n")
-        fh.write(f"numpy_version={np.__version__}\n")
-        fh.write(f"python_version={sys.version.split()[0]}\n")
-        for item in (
-            f"experiment={plan.experiment}",
-            f"n={plan.n}",
-            f"m={plan.m}",
-            f"k={plan.k}",
-            "sigma_grid=" + ",".join(_fmt(float(s)) for s in plan.sigma_grid),
-            "tau_grid=" + ",".join(_fmt(float(t)) for t in plan.tau_grid),
-            f"trials={plan.trials}",
-            "solvers=" + ",".join(plan.solvers),
-            f"seed={plan.seed}",
-            f"matrix_scaling={plan.matrix_scaling}",
-            f"noise_mode={plan.noise_mode}",
-            f"game_rounds={plan.rounds}",
-            f"workers={plan.workers}",
-        ):
-            fh.write(item + "\n")
+    write_plan(meta_path, replace(plan, game_rounds=plan.rounds))
 
     return {
         "records": records_path,
@@ -425,46 +398,23 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 # plan files: flat key=value text
 # ---------------------------------------------------------------------------
 
-_LIST_FIELDS = {"sigma_grid", "tau_grid", "solvers"}
-_INT_FIELDS = {"n", "m", "k", "trials", "seed", "workers", "game_rounds"}
-
-
 def write_plan(path, plan: ExperimentPlan) -> None:
-    with open(path, "w") as fh:
-        for f_ in fields(plan):
-            value = getattr(plan, f_.name)
-            if value is None:
-                continue
-            if f_.name in _LIST_FIELDS:
-                value = ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in value)
-            fh.write(f"{f_.name}={value}\n")
+    """Write a plan as flat key=value lines that `read_plan` reads back,
+    after comments naming the package, numpy and Python versions."""
+    write_fields(
+        path,
+        plan,
+        (
+            f"package_version={__version__}",
+            f"numpy_version={np.__version__}",
+            f"python_version={sys.version.split()[0]}",
+        ),
+    )
 
 
 def read_plan(path) -> ExperimentPlan:
-    kv: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"bad plan line (no '='): {line!r}")
-            kv[key.strip()] = value.strip()
-    kwargs = {}
-    valid = {f_.name for f_ in fields(ExperimentPlan)}
-    for key, value in kv.items():
-        if key not in valid:
-            raise ValueError(f"unknown plan key {key!r}")
-        if key in ("sigma_grid", "tau_grid"):
-            kwargs[key] = [float(v) for v in value.split(",") if v]
-        elif key == "solvers":
-            kwargs[key] = [v for v in value.split(",") if v]
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = value
-    return ExperimentPlan(**kwargs)
+    """Parse a plan written by `write_plan` (see `synth.read_fields`)."""
+    return read_fields(path, ExperimentPlan)
 
 
 # ---------------------------------------------------------------------------
@@ -487,27 +437,9 @@ def solve_file(
     """
     phi = load_matrix_auto(matrix_path)
     f = read_vector(observation_path)
-    if f.size != phi.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {phi.shape}, observation has length {f.size}"
-        )
     if solver in ("clash", "lasso-pg", "game-l2", "game-linf") and not np.isfinite(tau):
         raise ValueError(f"solver {solver!r} needs a finite --tau")
-    rounds = rounds if rounds is not None else 4 * k
-    if solver == "sp":
-        res, _ = sp_solve(phi, f, PursuitConfig(sparsity=k))
-    elif solver == "clash":
-        res, _ = clash_solve(phi, f, PursuitConfig(sparsity=k, tau=tau))
-    elif solver == "lasso-pg":
-        res = lasso_pg_solve(phi, f, tau)
-    elif solver == "iht":
-        res = iht_solve(phi, f, k)
-    elif solver == "game-l2":
-        res, _ = game_solve(phi, f, GameConfig(rounds=rounds, q=2, tau=tau))
-    elif solver == "game-linf":
-        res, _ = dantzig_game_solve(phi, f, GameConfig(rounds=rounds, q=np.inf, tau=tau))
-    else:
-        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    res = _solve(solver, phi, f, k, tau, rounds if rounds is not None else 4 * k)
     write_vector(out_path, res.alpha)
     return {
         "solver": solver,
@@ -552,23 +484,23 @@ def rip_report(
 # ---------------------------------------------------------------------------
 
 def _add_bench_parser(sub) -> None:
+    # each flag's dest names the plan field it sets, parsed as in plan files
     p = sub.add_parser("bench", help="run a Monte Carlo experiment")
     p.add_argument("--experiment", choices=EXPERIMENTS, default=None)
     p.add_argument("--plan", help="flat key=value plan file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--solver", default=None, help="comma-separated solver names")
-    p.add_argument("--sigma-grid", default=None, help="comma-separated noise levels")
-    p.add_argument("--tau-grid", default=None,
-                   help="comma-separated multiples of ||alpha*||_1")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--matrix-scaling", choices=(UNIT_VARIANCE, INV_SQRT_M), default=None)
-    p.add_argument("--noise-mode", choices=("std", "fixed-norm"), default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--game-rounds", type=int, default=None)
+    p.add_argument("--seed")
+    p.add_argument("--trials")
+    p.add_argument("--out")
+    p.add_argument("--solver", dest="solvers", help="comma-separated solver names")
+    p.add_argument("--sigma-grid", help="comma-separated noise levels")
+    p.add_argument("--tau-grid", help="comma-separated multiples of ||alpha*||_1")
+    p.add_argument("--n")
+    p.add_argument("--m")
+    p.add_argument("--k")
+    p.add_argument("--matrix-scaling", help=f"{UNIT_VARIANCE} or {INV_SQRT_M}")
+    p.add_argument("--noise-mode", help="std or fixed-norm")
+    p.add_argument("--workers")
+    p.add_argument("--game-rounds")
 
 
 def _cmd_bench(args) -> int:
@@ -581,31 +513,12 @@ def _cmd_bench(args) -> int:
             )
     else:
         plan = preset_plan(args.experiment or "custom")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.solver is not None:
-        overrides["solvers"] = args.solver.split(",")
-    if args.sigma_grid is not None:
-        overrides["sigma_grid"] = [float(v) for v in args.sigma_grid.split(",")]
-    if args.tau_grid is not None:
-        overrides["tau_grid"] = [float(v) for v in args.tau_grid.split(",")]
-    for name in ("n", "m", "k", "workers"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.matrix_scaling is not None:
-        overrides["matrix_scaling"] = args.matrix_scaling
-    if args.noise_mode is not None:
-        overrides["noise_mode"] = args.noise_mode
-    if args.game_rounds is not None:
-        overrides["game_rounds"] = args.game_rounds
-    plan = replace(plan, **overrides)
-    outcome = run_experiment(plan)
+    overrides = {
+        f_.name: parse_field(ExperimentPlan, f_.name, getattr(args, f_.name))
+        for f_ in fields(ExperimentPlan)
+        if getattr(args, f_.name) is not None
+    }
+    outcome = run_experiment(replace(plan, **overrides))
     print(f"wrote {outcome['record_count']} records to {outcome['records']}")
     print(f"summary: {outcome['summary']}  meta: {outcome['meta']}")
     return 0

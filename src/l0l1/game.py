@@ -30,7 +30,7 @@ lookup; in the Dantzig form it is the product Phi^T phi_i.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,23 +81,6 @@ class GameCertificate:
     diameter: float
     regret_bound: float
     achieved_residual: float
-
-
-@dataclass
-class GameState:
-    """Mutable per-round state: the dual strategy (a vector for p = 2,
-    lifted simplex weights for p = 1), integer play counts whose scaled sum
-    is the running primal sum, the round index, and per-round losses."""
-
-    dual: np.ndarray
-    play_counts: np.ndarray
-    tau: float
-    t: int = 0
-    history: list[float] = field(default_factory=list)
-
-    @property
-    def alpha_sum(self) -> np.ndarray:
-        return self.tau * self.play_counts.astype(np.float64)
 
 
 def loss(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray, f: np.ndarray) -> float:
@@ -312,7 +295,6 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
         decode = lambda p: p
 
     regret_bound = diameter * g_bound / (2.0 * np.sqrt(t_rounds))
-    state = GameState(dual=dual, play_counts=np.zeros(n, dtype=np.int64), tau=tau)
 
     if g_bound == 0.0:
         # f = 0 and A = 0: every feasible play is optimal, return zero
@@ -321,27 +303,29 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
 
     eta = 2.0 * diameter / (g_bound * np.sqrt(t_rounds)) if cfg.eta == "auto" else float(cfg.eta)
 
+    # integer play counts: tau times them is the running sum of the plays
+    play_counts = np.zeros(n, dtype=np.int64)
+    history = []
     for _ in range(t_rounds):
-        p_t = decode(state.dual)
+        p_t = decode(dual)
         i, sign = _best_index(correlate(p_t))
         if sign != 0.0:
             residual_t = (-tau * sign) * column(i) - f
-            state.play_counts[i] -= int(sign)
+            play_counts[i] -= int(sign)
         else:
             residual_t = -f
-        state.history.append(float(p_t @ residual_t))
-        state.dual = max_update(state.dual, residual_t, eta, geometry, ball)
-        state.t += 1
+        history.append(float(p_t @ residual_t))
+        dual = max_update(dual, residual_t, eta, geometry, ball)
 
     # averaging may overshoot tau by a few ulps
-    alpha = clip_into_l1_ball(state.alpha_sum / t_rounds, tau)
+    alpha = clip_into_l1_ball(tau * play_counts / t_rounds, tau)
     residual = apply(alpha) - f
     achieved = lp_norm(residual, q)
     res = SolverResult(
         alpha=alpha,
         residual_l2=lp_norm(residual, 2),
         residual_q=achieved,
-        history=state.history,
+        history=history,
         iterations=t_rounds,
         termination=f"completed {t_rounds} rounds",
     )

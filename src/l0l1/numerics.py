@@ -40,7 +40,7 @@ def as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
     vector with one entry per row of Phi."""
     phi, f = as_matrix(phi), as_vector(f)
     if f.size != phi.shape[0]:
-        raise ValueError(f"f has length {f.size}, but Phi has {phi.shape[0]} rows")
+        raise ValueError(f"dimension mismatch: len(f) = {f.size}, Phi has {phi.shape[0]} rows")
     return phi, f
 
 
@@ -71,23 +71,18 @@ def lp_norm(x: np.ndarray, p: float) -> float:
 
 
 def restricted_lsq(
-    a: np.ndarray,
-    f: np.ndarray,
-    support,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
-    x0: np.ndarray | None = None,
+    a: np.ndarray, f: np.ndarray, support, tol: float = 1e-9
 ) -> np.ndarray:
     """Least squares restricted to a column support set.
 
     Returns the length-N vector v minimizing ||f - A v||_2^2 subject to
     supp(v) being a subset of `support`; coordinates off the support are
     exactly zero.  The restricted problem is solved by conjugate gradients
-    on the normal equations of the column submatrix, stopping once the
-    gradient restricted to the support has 2-norm <= tol or after max_iter
-    steps (default 4 * |support|, covering roundoff slack beyond CG's exact
-    termination).  A singular restricted Gram matrix is handled by CG's
-    natural behavior inside the Krylov space; no factorization is formed.
+    on the normal equations of the column submatrix, from zero, stopping
+    once the gradient restricted to the support has 2-norm <= tol or after
+    4 * |support| steps (roundoff slack beyond CG's exact termination).  A
+    singular restricted Gram matrix is handled by CG's natural behavior
+    inside the Krylov space; no factorization is formed.
 
     Parameters
     ----------
@@ -95,8 +90,6 @@ def restricted_lsq(
     f : (M,) observation vector
     support : sorted distinct indices into columns of `a`; empty -> zeros
     tol : stopping threshold on the restricted gradient norm, > 0
-    max_iter : CG iteration cap; None selects 4 * |support|
-    x0 : optional warm start; only its `support` coordinates are used
     """
     a = np.asarray(a, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
@@ -112,14 +105,12 @@ def restricted_lsq(
     a_s = a[:, s]
     gram = a_s.T @ a_s
     b = a_s.T @ f
-    if max_iter is None:
-        max_iter = 4 * s.size
 
-    x = np.zeros(s.size) if x0 is None else np.asarray(x0, dtype=np.float64)[s].copy()
-    r = b - gram @ x if x0 is not None else b.copy()
+    x = np.zeros(s.size)
+    r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(4 * s.size):
         if np.sqrt(rs) <= tol:
             break
         gp = gram @ p

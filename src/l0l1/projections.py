@@ -25,13 +25,6 @@ class ConstraintSet:
         if not self.tau >= 0:
             raise ValueError(f"l1 radius tau must be >= 0, got {self.tau}")
 
-    def contains(self, x: np.ndarray, l1_slack: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return (
-            int(np.count_nonzero(x)) <= self.k
-            and float(np.sum(np.abs(x))) <= self.tau + l1_slack
-        )
-
 
 def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of w, zeroing the rest.
@@ -67,13 +60,17 @@ def l1_project(w: np.ndarray, tau: float) -> np.ndarray:
     If ||w||_1 <= tau the input is returned unchanged (as a copy).
     Otherwise magnitudes are soft-thresholded by the unique theta >= 0 that
     makes the l1 norm equal tau; theta is found exactly by the classic
-    sort-and-scan in O(n log n).
+    sort-and-scan in O(n log n).  Raises ValueError if ||w||_1 is not
+    finite: a NaN or infinite entry, or a sum that overflows.
     """
     w = np.asarray(w, dtype=np.float64)
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     mags = np.abs(w)
-    if np.sum(mags) <= tau:
+    total = np.sum(mags)
+    if not np.isfinite(total):
+        raise ValueError(f"l1_project needs a finite ||w||_1, got {total}")
+    if total <= tau:
         return w.copy()
     if tau == 0:
         return np.zeros_like(w)

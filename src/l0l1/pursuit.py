@@ -2,7 +2,7 @@
 
 * `sp_solve` - subspace pursuit: extend the working support with the top-k
   residual correlations, least-squares fit on the <= 2k union, prune back
-  to k, and refit.
+  to k, and refit.  It is `clash_solve`'s loop with tau = inf.
 * `clash_solve` - the same outer pattern with the l1 budget enforced in
   the inner solves: active set expansion, greedy descent with shrinkage
   over the extended support, combinatorial selection, and an l1-aware
@@ -10,7 +10,7 @@
   least squares on at most 2k columns, solved exactly by a primal
   active-set method on the sign pattern, warm-started from the previous
   iterate.  With tau = inf the inner solves collapse to plain restricted
-  least squares and the iterates match `sp_solve`.
+  least squares and the loop is subspace pursuit's.
 * `lasso_pg_solve` - projected gradient over the full coordinate space
   with the l1 ball projection, fixed step 1/L.
 * `iht_solve` - fixed-step iterative hard thresholding, kept as a
@@ -384,16 +384,15 @@ def sp_solve(
 ) -> tuple[SolverResult, IterateTrace]:
     """Subspace pursuit.
 
-    Initializes on the top-k correlations of Phi^T f, then repeatedly
-    unions the current support with the top-k residual correlations
-    (extended support <= 2k), solves restricted least squares on the
-    union, prunes to the k largest entries, and refits on the pruned
-    support.  Stops when the residual norm stops decreasing, when the
-    relative iterate change drops below the tolerance, or at the
-    iteration cap.
+    Initializes with the least-squares fit on the top-k correlations of
+    Phi^T f, recorded as trace entry 0, then runs `clash_solve`'s loop
+    with tau = inf: union the support with the top-k residual
+    correlations, least squares on the union, prune to k, refit.  Stops
+    when the residual norm stops decreasing, when the relative iterate
+    change drops below the tolerance, or at the iteration cap.
     """
     phi, f = as_system(phi, f)
-    m, n = phi.shape
+    m = phi.shape[0]
     k = cfg.sparsity
     if k > m:
         raise ValueError(f"sparsity {k} exceeds number of measurements {m}")
@@ -402,43 +401,17 @@ def sp_solve(
     support = top_k_support(phi.T @ f, k)
     alpha = restricted_lsq(phi, f, support)
     residual = f - phi @ alpha
-    res_norm = float(np.sqrt(residual @ residual))
     trace.record(
         support,
-        res_norm,
+        float(np.sqrt(residual @ residual)),
         float(np.sqrt(alpha @ alpha)),
         _dist(alpha, alpha_true),
         alpha if keep_iterates else None,
     )
-
-    termination = "max-iterations"
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
-        extended = np.union1d(support, top_k_support(phi.T @ residual, k))
-        v = restricted_lsq(phi, f, extended)
-        gamma = hard_threshold(v, k)
-        new_support = np.nonzero(gamma)[0]
-        alpha_new = restricted_lsq(phi, f, new_support)
-        residual_new = f - phi @ alpha_new
-        res_norm_new = float(np.sqrt(residual_new @ residual_new))
-        if res_norm_new > res_norm:
-            termination = "residual stopped decreasing"
-            break
-        delta = float(np.sqrt(np.sum((alpha_new - alpha) ** 2)))
-        alpha, support = alpha_new, new_support
-        residual, res_norm = residual_new, res_norm_new
-        trace.record(
-            support,
-            res_norm,
-            delta,
-            _dist(alpha, alpha_true),
-            alpha if keep_iterates else None,
-        )
-        if delta <= cfg.tolerance * max(float(np.sqrt(alpha @ alpha)), 1e-12):
-            termination = "converged"
-            break
-
+    alpha, iterations, termination = _clash_loop(
+        phi, f, k, np.inf, alpha, cfg, alpha_true, keep_iterates, trace
+    )
+    res_norm = trace.residual_norms[-1]
     result = SolverResult(
         alpha=alpha,
         residual_l2=res_norm,
@@ -467,8 +440,16 @@ def _clash_loop(
     With `momentum` the expansion gradient is taken at an extrapolation of
     the last two iterates instead of the current one; the descent,
     selection, and de-bias steps are unchanged, so iterate feasibility and
-    the <= 2k extended-support bound still hold.  When `trace` is None the
-    loop runs silently (warm-up stage).
+    the <= 2k extended-support bound still hold.  The expansion ranks the
+    residual correlations Phi^T (f - Phi alpha), the negative gradient, off
+    the support.  When `trace` is None the loop runs silently (warm-up
+    stage).
+
+    With tau = inf the inner solves are plain restricted least squares and
+    the loop is subspace pursuit, stop rule included: an iterate whose
+    residual norm exceeds the previous one's is dropped and the loop ends
+    with "residual stopped decreasing".  Phi alpha is formed once per
+    iterate, for the stop rule, the trace and the next expansion.
     """
     norm_active = np.isfinite(tau)
 
@@ -480,29 +461,36 @@ def _clash_loop(
     alpha = alpha0
     alpha_prev = alpha0
     support = np.nonzero(alpha)[0]
+    residual = f - phi @ alpha
+    res_norm = float(np.sqrt(residual @ residual))
     termination = "max-iterations"
     iterations = 0
     for it in range(cfg.max_iterations):
         iterations += 1
         if momentum and it > 0:
             probe = alpha + (it / (it + 3.0)) * (alpha - alpha_prev)
+            corr = phi.T @ (f - phi @ probe)
         else:
-            probe = alpha
-        grad = phi.T @ (phi @ probe - f)
-        grad_off = grad.copy()
-        grad_off[support] = 0.0
-        extended = np.union1d(support, top_k_support(grad_off, k))
+            corr = phi.T @ residual
+        corr[support] = 0.0
+        extended = np.union1d(support, top_k_support(corr, k))
         v = inner(extended, alpha)
         gamma = hard_threshold(v, k)
         new_support = np.nonzero(gamma)[0]
         alpha_new = inner(new_support, gamma)
+        residual_new = f - phi @ alpha_new
+        res_norm_new = float(np.sqrt(residual_new @ residual_new))
+        if not norm_active and res_norm_new > res_norm:
+            termination = "residual stopped decreasing"
+            break
         delta = float(np.sqrt(np.sum((alpha_new - alpha) ** 2)))
         alpha_prev = alpha
         alpha, support = alpha_new, np.nonzero(alpha_new)[0]
+        residual, res_norm = residual_new, res_norm_new
         if trace is not None:
             trace.record(
                 support,
-                lp_norm(f - phi @ alpha, 2),
+                res_norm,
                 delta,
                 _dist(alpha, alpha_true),
                 alpha if keep_iterates else None,
@@ -534,7 +522,8 @@ def clash_solve(
     pattern, warm-started from the current iterate (step 2) or the pruned
     vector (step 4); it raises RuntimeError if it fails to reach the
     optimum.  With tau = inf steps 2 and 4 are plain restricted least
-    squares and the iterates match subspace pursuit's on the same inputs.
+    squares, the loop stops as subspace pursuit does, and the iterates
+    equal `sp_solve`'s on the same inputs.
 
     The iteration map can stall on fixed points short of the best
     solution near its recovery phase transition, so with a finite tau the

@@ -47,6 +47,3 @@ class IterateTrace:
             if self.iterates is None:
                 self.iterates = []
             self.iterates.append(np.array(iterate, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.residual_norms)

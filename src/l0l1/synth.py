@@ -25,11 +25,12 @@ out here so the streams can be replayed outside this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .numerics import lp_norm
+from .numerics import lp_norm, write_matrix, write_vector
 
 # purpose tags for stream addressing
 MATRIX_STREAM = 1
@@ -206,44 +207,71 @@ def rip_probe(
 # flat key=value serialization and problem export
 # ---------------------------------------------------------------------------
 
-def write_spec(path, spec: ProblemSpec) -> None:
-    """Serialize a ProblemSpec as flat key=value lines."""
+def format_value(value) -> str:
+    """The text of a value in CSV and key=value files: floats with 17
+    significant digits, which read back bit for bit; a list is written
+    comma-separated, as a CSV row."""
+    if isinstance(value, list):
+        return ",".join(format_value(v) for v in value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def parse_field(cls, name: str, text: str):
+    """Field `name` of dataclass `cls` parsed from its text by the field's
+    type, inverting `format_value`; ValueError if `name` is not a field
+    or the text does not parse."""
+    kind = get_type_hints(cls).get(name)
+    if kind is None:
+        raise ValueError(f"unknown {cls.__name__} key {name!r}")
+    scalar = get_args(kind)[0] if get_args(kind) else kind
+    if get_origin(kind) is list:
+        return [scalar(v) for v in text.split(",") if v]
+    return scalar(text)
+
+
+def write_fields(path, obj, comments=()) -> None:
+    """Write a dataclass as flat key=value lines, one per field, after the
+    `comments` as '# ' lines; fields set to None are left out."""
     with open(path, "w") as fh:
-        fh.write(f"n={spec.n}\n")
-        fh.write(f"m={spec.m}\n")
-        fh.write(f"k={spec.k}\n")
-        fh.write(f"sigma={spec.sigma!r}\n")
-        fh.write(f"seed={spec.seed}\n")
-        fh.write(f"matrix_scaling={spec.matrix_scaling}\n")
-        fh.write(f"noise_mode={spec.noise_mode}\n")
+        fh.writelines(f"# {line}\n" for line in comments)
+        for f_ in fields(obj):
+            value = getattr(obj, f_.name)
+            if value is not None:
+                fh.write(f"{f_.name}={format_value(value)}\n")
 
 
-def read_spec(path) -> ProblemSpec:
-    """Parse a ProblemSpec from flat key=value lines."""
-    kv: dict[str, str] = {}
+def read_fields(path, cls):
+    """A dataclass `cls` from flat key=value lines, skipping blank lines and
+    '#' comments; fields not given keep their defaults.  A line without
+    '=' or with a key that is not a field raises ValueError."""
+    kwargs = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-    return ProblemSpec(
-        n=int(kv["n"]),
-        m=int(kv["m"]),
-        k=int(kv["k"]),
-        sigma=float(kv.get("sigma", "0")),
-        seed=int(kv.get("seed", "0")),
-        matrix_scaling=kv.get("matrix_scaling", INV_SQRT_M),
-        noise_mode=kv.get("noise_mode", "std"),
-    )
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}: line without '=': {line!r}")
+            kwargs[key.strip()] = parse_field(cls, key.strip(), value.strip())
+    return cls(**kwargs)
+
+
+def write_spec(path, spec: ProblemSpec) -> None:
+    """Serialize a ProblemSpec as flat key=value lines."""
+    write_fields(path, spec)
+
+
+def read_spec(path) -> ProblemSpec:
+    """Parse a ProblemSpec from flat key=value lines (see `read_fields`)."""
+    return read_fields(path, ProblemSpec)
 
 
 def export_problem(problem: GeneratedProblem, prefix: str) -> None:
     """Write phi, f, and alpha_star in the binary matrix format, plus the
     spec as <prefix>.spec.txt."""
-    from .numerics import write_matrix, write_vector
-
     write_matrix(f"{prefix}.phi.bin", problem.phi)
     write_vector(f"{prefix}.f.bin", problem.f)
     write_vector(f"{prefix}.alpha_star.bin", problem.alpha_star)

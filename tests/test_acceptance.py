@@ -314,7 +314,7 @@ def test_criterion_09_dantzig_noise_trend():
 
 
 def test_criterion_10_clash_sp_equivalence_at_infinite_tau():
-    worst = 0.0
+    mismatched = []
     for i in range(10):
         seed = derive_seed(4242, i)
         p = generate(
@@ -326,17 +326,16 @@ def test_criterion_10_clash_sp_equivalence_at_infinite_tau():
         clash_res, clash_trace = clash_solve(
             p.phi, p.f, PursuitConfig(sparsity=15, tau=np.inf), keep_iterates=True
         )
-        common = min(len(sp_trace.iterates), len(clash_trace.iterates))
-        for j in range(common):
-            worst = max(
-                worst,
-                float(np.max(np.abs(sp_trace.iterates[j] - clash_trace.iterates[j]))),
-            )
-        worst = max(worst, float(np.max(np.abs(sp_res.alpha - clash_res.alpha))))
+        same = len(sp_trace.iterates) == len(clash_trace.iterates) and all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(sp_trace.iterates, clash_trace.iterates)
+        )
+        if not (same and sp_res.alpha.tobytes() == clash_res.alpha.tobytes()):
+            mismatched.append(i)
     report(
         10,
-        worst <= 1e-10,
-        f"10 instances, iterate-by-iterate max coordinate deviation = {worst:.2e} <= 1e-10",
+        not mismatched,
+        f"10 instances, iterates and final alpha bit-identical; mismatched={mismatched}",
     )
 
 

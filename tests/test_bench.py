@@ -1,11 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from l0l1 import bench
 from l0l1.bench import (
+    SOLVERS,
     ExperimentPlan,
     _map_in_workers,
     main,
@@ -18,8 +21,21 @@ from l0l1.bench import (
     summarize_records,
     write_plan,
 )
+from l0l1.game import GameConfig, dantzig_game_solve, game_solve
 from l0l1.numerics import read_vector, write_matrix, write_vector
+from l0l1.pursuit import PursuitConfig, clash_solve, iht_solve, lasso_pg_solve, sp_solve
 from l0l1.synth import ProblemSpec, generate
+
+# each solver called at its entry point as bench calls it, for (k, tau, T)
+DIRECT = {
+    "sp": lambda phi, f, k, tau, t: sp_solve(phi, f, PursuitConfig(sparsity=k))[0],
+    "clash": lambda phi, f, k, tau, t: clash_solve(phi, f, PursuitConfig(sparsity=k, tau=tau))[0],
+    "lasso-pg": lambda phi, f, k, tau, t: lasso_pg_solve(phi, f, tau),
+    "iht": lambda phi, f, k, tau, t: iht_solve(phi, f, k),
+    "game-l2": lambda phi, f, k, tau, t: game_solve(phi, f, GameConfig(rounds=t, q=2, tau=tau))[0],
+    "game-linf": lambda phi, f, k, tau, t: dantzig_game_solve(
+        phi, f, GameConfig(rounds=t, q=np.inf, tau=tau))[0],
+}
 
 
 def small_plan(tmp_path, **overrides):
@@ -86,6 +102,15 @@ class TestPlans:
         with pytest.raises(ValueError):
             read_plan(path)
 
+    @pytest.mark.parametrize(
+        "line", ["noise_mode=bogus", "matrix_scaling=bogus", "game_rounds=0", "k=101"]
+    )
+    def test_plan_file_with_invalid_value_rejected(self, tmp_path, line):
+        path = tmp_path / "plan.txt"
+        path.write_text(f"experiment=custom\nn=256\nm=100\n{line}\n")
+        with pytest.raises(ValueError):
+            read_plan(path)
+
 
 class TestRunExperiment:
     def test_outputs_and_record_count(self, tmp_path):
@@ -97,6 +122,14 @@ class TestRunExperiment:
         assert lines[0].startswith("experiment,trial,seed,solver")
         assert open(out["meta"]).read().count("seed=98765") == 1
         assert open(out["timing"]).readline().startswith("experiment,trial")
+
+    def test_meta_file_replays_the_plan(self, tmp_path):
+        plan = small_plan(tmp_path, solvers=["sp", "game-l2"])
+        out = run_experiment(plan)
+        replayed = read_plan(out["meta"])
+        assert replayed == replace(plan, game_rounds=plan.rounds)
+        again = run_experiment(replace(replayed, out=str(tmp_path / "again.csv")))
+        assert open(again["records"], "rb").read() == open(out["records"], "rb").read()
 
     def test_byte_identical_reruns_and_workers(self, tmp_path):
         plan1 = small_plan(tmp_path, out=str(tmp_path / "a.csv"))
@@ -164,7 +197,7 @@ class TestRunSolver:
 
     def test_unknown_solver_rejected(self):
         p = generate(ProblemSpec(n=50, m=25, k=3, seed=7))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown solver 'bogus'; choose from"):
             run_solver("bogus", p, 1.0, rounds=10)
 
 
@@ -210,22 +243,27 @@ class TestSolveFile:
                 k=1,
             )
 
-    def test_in_process_result_matches_file_bit_exactly(self, tmp_path):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_in_process_result_matches_file_bit_exactly(self, tmp_path, solver):
         p = generate(ProblemSpec(n=40, m=20, k=3, sigma=0.01, seed=44))
         write_matrix(tmp_path / "phi.bin", p.phi)
         write_vector(tmp_path / "f.bin", p.f)
-        solve_file(
+        summary = solve_file(
             str(tmp_path / "phi.bin"),
             str(tmp_path / "f.bin"),
-            "clash",
+            solver,
             str(tmp_path / "alpha.bin"),
             k=3,
             tau=p.tau_star,
         )
-        from l0l1.pursuit import PursuitConfig, clash_solve
-
-        res, _ = clash_solve(p.phi, p.f, PursuitConfig(sparsity=3, tau=p.tau_star))
-        assert np.array_equal(read_vector(tmp_path / "alpha.bin"), res.alpha)
+        # solve_file's default round count is 4k, as a plan's
+        res = DIRECT[solver](p.phi, p.f, 3, p.tau_star, 12)
+        assert read_vector(tmp_path / "alpha.bin").tobytes() == res.alpha.tobytes()
+        assert summary["iterations"] == res.iterations
+        assert summary["residual_native"] == res.residual_q
+        alpha, residual, iterations = run_solver(solver, p, p.tau_star, rounds=12)
+        assert alpha.tobytes() == res.alpha.tobytes()
+        assert (residual, iterations) == (res.residual_q, res.iterations)
 
 
 class TestRipReport:
@@ -318,6 +356,34 @@ class TestCli:
         assert rc == 0
         lines = open(out).read().strip().split("\n")
         assert len(lines) == 1 + 2 * 2
+
+    def test_bench_flags_and_plan_file_give_the_same_plan(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            bench, "run_experiment",
+            lambda plan: ran.append(plan) or {"record_count": 0, "records": "", "summary": "", "meta": ""},
+        )
+        plan = ExperimentPlan(
+            experiment="tau-sweep", n=90, m=40, k=5, sigma_grid=[0.0, 0.05],
+            tau_grid=[0.5, 2.0], trials=3, solvers=["clash", "game-linf"], seed=11,
+            out=str(tmp_path / "x.csv"), matrix_scaling="unit", noise_mode="fixed-norm",
+            workers=2, game_rounds=7,
+        )
+        write_plan(tmp_path / "plan.txt", plan)
+        assert main(["bench", "--plan", str(tmp_path / "plan.txt")]) == 0
+        assert main(
+            ["bench", "--experiment", "tau-sweep", "--n", "90", "--m", "40", "--k", "5",
+             "--sigma-grid", "0,0.05", "--tau-grid", "0.5,2", "--trials", "3",
+             "--solver", "clash,game-linf", "--seed", "11", "--out", str(tmp_path / "x.csv"),
+             "--matrix-scaling", "unit", "--noise-mode", "fixed-norm", "--workers", "2",
+             "--game-rounds", "7"]
+        ) == 0
+        assert ran == [plan, plan]
+
+    def test_bench_invalid_flag_value_exits_nonzero(self, tmp_path):
+        rc = main(["bench", "--noise-mode", "bogus", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bench_unwritable_output_exits_nonzero(self, tmp_path):
         rc = main(

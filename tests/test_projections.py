@@ -94,6 +94,12 @@ class TestL1Project:
         with pytest.raises(ValueError):
             l1_project(np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tau", [0.5, np.inf])
+    def test_non_finite_input_rejected(self, bad, tau):
+        with pytest.raises(ValueError, match="finite"):
+            l1_project(np.array([0.1, bad, -0.2]), tau)
+
     def test_matches_theta_search_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(60):

@@ -158,6 +158,13 @@ class TestSerialization:
         write_spec(path, spec)
         assert read_spec(path) == spec
 
+    @pytest.mark.parametrize("line", ["seeed=7", "seed 7"])
+    def test_spec_with_unknown_key_or_no_equals_rejected(self, tmp_path, line):
+        path = tmp_path / "problem.spec.txt"
+        path.write_text(f"n=100\nm=50\nk=8\n{line}\n")
+        with pytest.raises(ValueError):
+            read_spec(path)
+
     def test_export_problem_files_readable(self, tmp_path):
         p = generate(ProblemSpec(n=30, m=15, k=3, sigma=0.01, seed=33))
         prefix = str(tmp_path / "case")
