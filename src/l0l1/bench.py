@@ -151,6 +151,11 @@ class ExperimentPlan:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.sigma_grid or not self.tau_grid:
             raise ValueError("grids must be nonempty")
+        # written so that NaN fails both
+        if not all(t > 0 for t in self.tau_grid):
+            raise ValueError(f"tau_grid entries must be positive, got {self.tau_grid}")
+        if not all(s >= 0 for s in self.sigma_grid):
+            raise ValueError(f"sigma_grid entries must be >= 0, got {self.sigma_grid}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
         if self.workers < 1:
@@ -165,7 +170,6 @@ class ExperimentPlan:
             n=self.n,
             m=self.m,
             k=self.k,
-            sigma=min(self.sigma_grid),
             matrix_scaling=self.matrix_scaling,
             noise_mode=self.noise_mode,
         )

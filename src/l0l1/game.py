@@ -52,13 +52,14 @@ from .results import SolverResult
 
 @dataclass
 class GameConfig:
-    """Solver knobs: round count T, residual norm exponent q in {2, inf},
-    l1 radius tau, and the dual step size eta ("auto" = 2 D / (G sqrt(T)))."""
+    """Solver settings: round count T, residual norm exponent q in {2, inf},
+    and l1 radius tau.  The dual step size is not settable: it is
+    2 D / (G sqrt(T)), from the certificate's diameter D and loss bound G.
+    """
 
     rounds: int
     q: float = 2
     tau: float = 1.0
-    eta: float | str = "auto"
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -67,8 +68,6 @@ class GameConfig:
             raise ValueError(f"q must be 2 or inf, got {self.q}")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.eta != "auto" and not float(self.eta) >= 0:
-            raise ValueError("eta must be nonnegative or 'auto'")
 
 
 @dataclass
@@ -171,7 +170,10 @@ def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
 
     The objective is convex on each segment [-tau e_j, +tau e_j], so the
     maximum over the set is attained at one of the 2N signed, tau-scaled
-    canonical vectors; tau = 0 leaves only a = 0.
+    canonical vectors; tau = 0 leaves only a = 0.  For q = 2 the larger
+    of ||tau phi_j -/+ f||_2^2 is tau^2 ||phi_j||^2 + 2 tau |phi_j^T f| +
+    ||f||^2, a sum of nonnegative terms, so the bound takes the column
+    norms and one product Phi^T f, and forms no M x N temporary.
     """
     phi = np.asarray(phi, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
@@ -179,11 +181,9 @@ def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
         return lp_norm(f, q)
     if np.isinf(q):
         return _linf_bound(np.max(np.abs(phi), axis=1), f, tau)
-    plus = tau * phi - f[:, None]
-    minus = -tau * phi - f[:, None]
-    col = np.sqrt(np.sum(plus * plus, axis=0))
-    col_m = np.sqrt(np.sum(minus * minus, axis=0))
-    return float(max(np.max(col), np.max(col_m)))
+    col_sq = np.einsum("ij,ij->j", phi, phi)
+    cross = np.abs(phi.T @ f)
+    return float(np.sqrt(np.max(tau * tau * col_sq + 2.0 * tau * cross + f @ f)))
 
 
 def _linf_bound(row_max: np.ndarray, f: np.ndarray, tau: float) -> float:
@@ -251,7 +251,7 @@ def dantzig_game_solve(
         f=fg,
         n=phi.shape[1],
         g_bound=_linf_bound(_gram_row_max(phi), fg, cfg.tau),
-        cfg=GameConfig(rounds=cfg.rounds, q=np.inf, tau=cfg.tau, eta=cfg.eta),
+        cfg=GameConfig(rounds=cfg.rounds, q=np.inf, tau=cfg.tau),
     )
 
 
@@ -301,7 +301,7 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
         res = SolverResult(np.zeros(n), 0.0, 0.0, [], 0, "degenerate: zero loss bound")
         return res, GameCertificate(0.0, diameter, 0.0, 0.0)
 
-    eta = 2.0 * diameter / (g_bound * np.sqrt(t_rounds)) if cfg.eta == "auto" else float(cfg.eta)
+    eta = 2.0 * diameter / (g_bound * np.sqrt(t_rounds))
 
     # integer play counts: tau times them is the running sum of the plays
     play_counts = np.zeros(n, dtype=np.int64)

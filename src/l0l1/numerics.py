@@ -70,16 +70,14 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
-def restricted_lsq(
-    a: np.ndarray, f: np.ndarray, support, tol: float = 1e-9
-) -> np.ndarray:
+def restricted_lsq(a: np.ndarray, f: np.ndarray, support) -> np.ndarray:
     """Least squares restricted to a column support set.
 
     Returns the length-N vector v minimizing ||f - A v||_2^2 subject to
     supp(v) being a subset of `support`; coordinates off the support are
     exactly zero.  The restricted problem is solved by conjugate gradients
     on the normal equations of the column submatrix, from zero, stopping
-    once the gradient restricted to the support has 2-norm <= tol or after
+    once the gradient restricted to the support has 2-norm <= 1e-9 or after
     4 * |support| steps (roundoff slack beyond CG's exact termination).  A
     singular restricted Gram matrix is handled by CG's natural behavior
     inside the Krylov space; no factorization is formed.
@@ -89,14 +87,11 @@ def restricted_lsq(
     a : (M, N) matrix
     f : (M,) observation vector
     support : sorted distinct indices into columns of `a`; empty -> zeros
-    tol : stopping threshold on the restricted gradient norm, > 0
     """
     a = np.asarray(a, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     m, n = a.shape
     s = as_index_set(support, n)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     out = np.zeros(n)
     if s.size == 0:
         return out
@@ -111,7 +106,7 @@ def restricted_lsq(
     p = r.copy()
     rs = float(r @ r)
     for _ in range(4 * s.size):
-        if np.sqrt(rs) <= tol:
+        if np.sqrt(rs) <= 1e-9:
             break
         gp = gram @ p
         p_gp = float(p @ gp)

@@ -1,8 +1,9 @@
 """Hard-thresholding pursuits and the projected-gradient Lasso baseline.
 
 * `sp_solve` - subspace pursuit: extend the working support with the top-k
-  residual correlations, least-squares fit on the <= 2k union, prune back
-  to k, and refit.  It is `clash_solve`'s loop with tau = inf.
+  residual correlations, least-squares fit on the union of at most
+  min(2k, M) columns, prune back to k, and refit.  It is `clash_solve` at
+  tau = inf.
 * `clash_solve` - the same outer pattern with the l1 budget enforced in
   the inner solves: active set expansion, greedy descent with shrinkage
   over the extended support, combinatorial selection, and an l1-aware
@@ -51,39 +52,34 @@ CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
 )
 
 
+# Stops of the pursuits' outer loop and of IHT: the relative iterate change
+# at or below which a run has converged, and the iteration caps.
+_TOLERANCE = 1e-6
+_MAX_ITERATIONS = 100
+_IHT_MAX_ITERATIONS = 500
+
+
 @dataclass
 class PursuitConfig:
-    """Outer-loop budgets of the pursuits.
+    """Budgets of the pursuits: the sparsity k and the l1 budget tau.
 
-    `tau` may be +inf for SP/IHT-style runs where the norm budget is
-    inactive.  `tolerance` is the relative iterate-change stop.  The inner
-    solves take no settings: the l1-constrained least-squares subproblems
-    of `clash_solve` are solved exactly, and restricted least squares runs
-    at its own tight defaults.
-
-    `continuation` controls the warm-start portfolio of `clash_solve`:
-    "auto" uses `CONTINUATION_PORTFOLIO` when tau is finite and a single
-    cold start otherwise; "none" forces the single cold start; a tuple of
-    schedules (each a tuple of fractions of tau) is used as given.
+    `tau` may be +inf for SP-style runs where the norm budget is
+    inactive; `clash_solve` runs its warm-start portfolio
+    (`CONTINUATION_PORTFOLIO`) exactly when tau is finite.  Nothing else
+    is settable: the outer loop stops once the relative iterate change is
+    at most 1e-6 or after 100 iterations, the l1-constrained
+    least-squares subproblems of `clash_solve` are solved exactly, and
+    restricted least squares runs at its own fixed tolerance.
     """
 
     sparsity: int
     tau: float = np.inf
-    tolerance: float = 1e-6
-    max_iterations: int = 100
-    continuation: str | tuple[tuple[float, ...], ...] = "auto"
 
     def __post_init__(self):
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
         if not self.tau > 0:
             raise ValueError("tau must be positive (use inf to disable)")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if isinstance(self.continuation, str) and self.continuation not in ("auto", "none"):
-            raise ValueError("continuation must be 'auto', 'none', or schedules")
 
 
 @dataclass
@@ -382,45 +378,17 @@ def sp_solve(
     alpha_true: np.ndarray | None = None,
     keep_iterates: bool = False,
 ) -> tuple[SolverResult, IterateTrace]:
-    """Subspace pursuit.
+    """Subspace pursuit (Dai & Milenkovic 2009): `clash_solve` at
+    tau = inf, whatever `cfg.tau` is.
 
-    Initializes with the least-squares fit on the top-k correlations of
-    Phi^T f, recorded as trace entry 0, then runs `clash_solve`'s loop
-    with tau = inf: union the support with the top-k residual
-    correlations, least squares on the union, prune to k, refit.  Stops
-    when the residual norm stops decreasing, when the relative iterate
-    change drops below the tolerance, or at the iteration cap.
+    One run of the loop from alpha = 0: union the support with the top-k
+    residual correlations, least squares on the union, prune to k,
+    refit.  The first iteration is the least-squares fit on the top-k
+    correlations of Phi^T f, and it counts in `iterations` and is trace
+    entry 0.  Stops when the residual norm stops decreasing, when the
+    relative iterate change is at most 1e-6, or after 100 iterations.
     """
-    phi, f = as_system(phi, f)
-    m = phi.shape[0]
-    k = cfg.sparsity
-    if k > m:
-        raise ValueError(f"sparsity {k} exceeds number of measurements {m}")
-
-    trace = IterateTrace()
-    support = top_k_support(phi.T @ f, k)
-    alpha = restricted_lsq(phi, f, support)
-    residual = f - phi @ alpha
-    trace.record(
-        support,
-        float(np.sqrt(residual @ residual)),
-        float(np.sqrt(alpha @ alpha)),
-        _dist(alpha, alpha_true),
-        alpha if keep_iterates else None,
-    )
-    alpha, iterations, termination = _clash_loop(
-        phi, f, k, np.inf, alpha, cfg, alpha_true, keep_iterates, trace
-    )
-    res_norm = trace.residual_norms[-1]
-    result = SolverResult(
-        alpha=alpha,
-        residual_l2=res_norm,
-        residual_q=res_norm,
-        history=list(trace.residual_norms),
-        iterations=iterations,
-        termination=termination,
-    )
-    return result, trace
+    return _pursue(phi, f, cfg.sparsity, np.inf, alpha_true, keep_iterates)
 
 
 def _clash_loop(
@@ -429,13 +397,14 @@ def _clash_loop(
     k: int,
     tau: float,
     alpha0: np.ndarray,
-    cfg: PursuitConfig,
-    alpha_true: np.ndarray | None,
-    keep_iterates: bool,
     trace: IterateTrace | None,
     momentum: bool = False,
-) -> tuple[np.ndarray, int, str]:
+) -> SolverResult:
     """The four-step iteration at a fixed budget (k, tau), from alpha0.
+
+    Returns the last iterate with its residual norm ||f - Phi alpha||_2,
+    the trace's residual norms as history (none without a trace), the
+    iteration count and the termination reason.
 
     With `momentum` the expansion gradient is taken at an extrapolation of
     the last two iterates instead of the current one; the descent,
@@ -464,16 +433,17 @@ def _clash_loop(
     residual = f - phi @ alpha
     res_norm = float(np.sqrt(residual @ residual))
     termination = "max-iterations"
-    iterations = 0
-    for it in range(cfg.max_iterations):
-        iterations += 1
+    for it in range(_MAX_ITERATIONS):
         if momentum and it > 0:
             probe = alpha + (it / (it + 3.0)) * (alpha - alpha_prev)
             corr = phi.T @ (f - phi @ probe)
         else:
             corr = phi.T @ residual
         corr[support] = 0.0
-        extended = np.union1d(support, top_k_support(corr, k))
+        # restricted least squares takes at most M columns, so with 2k > M
+        # the expansion at tau = inf adds only M - |support| of them
+        grow = k if norm_active else min(k, phi.shape[0] - support.size)
+        extended = np.union1d(support, top_k_support(corr, grow))
         v = inner(extended, alpha)
         gamma = hard_threshold(v, k)
         new_support = np.nonzero(gamma)[0]
@@ -488,17 +458,12 @@ def _clash_loop(
         alpha, support = alpha_new, np.nonzero(alpha_new)[0]
         residual, res_norm = residual_new, res_norm_new
         if trace is not None:
-            trace.record(
-                support,
-                res_norm,
-                delta,
-                _dist(alpha, alpha_true),
-                alpha if keep_iterates else None,
-            )
-        if delta <= cfg.tolerance * max(float(np.sqrt(alpha @ alpha)), 1e-12):
+            trace.record(support, res_norm, delta, alpha)
+        if delta <= _TOLERANCE * max(float(np.sqrt(alpha @ alpha)), 1e-12):
             termination = "converged"
             break
-    return alpha, iterations, termination
+    history = [] if trace is None else list(trace.residual_norms)
+    return SolverResult(alpha, res_norm, res_norm, history, it + 1, termination)
 
 
 def clash_solve(
@@ -521,9 +486,10 @@ def clash_solve(
     (`_l1_restricted_lsq`) by a primal active-set method on the sign
     pattern, warm-started from the current iterate (step 2) or the pruned
     vector (step 4); it raises RuntimeError if it fails to reach the
-    optimum.  With tau = inf steps 2 and 4 are plain restricted least
-    squares, the loop stops as subspace pursuit does, and the iterates
-    equal `sp_solve`'s on the same inputs.
+    optimum.  The loop stops once the relative iterate change is at most
+    1e-6, or after 100 iterations.  With tau = inf steps 2 and 4 are
+    plain restricted least squares, the loop stops as subspace pursuit
+    does, and the result is `sp_solve`'s.
 
     The iteration map can stall on fixed points short of the best
     solution near its recovery phase transition, so with a finite tau the
@@ -539,57 +505,46 @@ def clash_solve(
     wins, ties keeping the earliest run; the reported trace and iteration
     count are the winning full-budget run's.
     """
+    return _pursue(phi, f, cfg.sparsity, cfg.tau, alpha_true, keep_iterates)
+
+
+def _pursue(
+    phi: np.ndarray,
+    f: np.ndarray,
+    k: int,
+    tau: float,
+    alpha_true: np.ndarray | None,
+    keep_iterates: bool,
+) -> tuple[SolverResult, IterateTrace]:
+    """The body of `clash_solve` and `sp_solve`: the portfolio when tau is
+    finite, one cold start from alpha = 0 when it is not."""
     phi, f = as_system(phi, f)
     m, n = phi.shape
-    k = cfg.sparsity
-    tau = cfg.tau
     if k > m:
         raise ValueError(f"sparsity {k} exceeds number of measurements {m}")
 
-    if isinstance(cfg.continuation, tuple):
-        portfolio = tuple((sched, False) for sched in cfg.continuation)
-    elif cfg.continuation == "auto" and np.isfinite(tau):
-        portfolio = CONTINUATION_PORTFOLIO
-    else:
-        portfolio = (((), False),)
-
-    f_norm = float(np.sqrt(f @ f))
-    exact_fit = 1e-6 * max(f_norm, 1e-12)
-    best: tuple[float, np.ndarray, IterateTrace, int, str] | None = None
+    portfolio = CONTINUATION_PORTFOLIO if np.isfinite(tau) else (((), False),)
+    exact_fit = 1e-6 * max(float(np.sqrt(f @ f)), 1e-12)
+    best: tuple[SolverResult, IterateTrace] | None = None
     stalls = 0
     for schedule, momentum in portfolio:
         alpha = np.zeros(n)
         for fraction in schedule:
             stage_tau = fraction * tau
             alpha = l1_project(alpha, stage_tau)
-            alpha, _, _ = _clash_loop(
-                phi, f, k, stage_tau, alpha, cfg, None, False, None, momentum
-            )
-        trace = IterateTrace()
-        alpha, iterations, termination = _clash_loop(
-            phi, f, k, tau, l1_project(alpha, tau), cfg,
-            alpha_true, keep_iterates, trace, momentum,
-        )
-        res_norm = lp_norm(f - phi @ alpha, 2)
-        if best is None or res_norm < best[0] * (1.0 - 5e-3):
+            alpha = _clash_loop(phi, f, k, stage_tau, alpha, None, momentum).alpha
+        trace = IterateTrace(alpha_true, keep_iterates)
+        result = _clash_loop(phi, f, k, tau, l1_project(alpha, tau), trace, momentum)
+        res_norm = result.residual_l2
+        if best is None or res_norm < best[0].residual_l2 * (1.0 - 5e-3):
             stalls = 0
         else:
             stalls += 1
-        if best is None or res_norm < best[0]:
-            best = (res_norm, alpha, trace, iterations, termination)
-        if best[0] <= exact_fit or stalls >= 3:
+        if best is None or res_norm < best[0].residual_l2:
+            best = (result, trace)
+        if best[0].residual_l2 <= exact_fit or stalls >= 3:
             break
-
-    res_norm, alpha, trace, iterations, termination = best
-    result = SolverResult(
-        alpha=alpha,
-        residual_l2=res_norm,
-        residual_q=res_norm,
-        history=list(trace.residual_norms),
-        iterations=iterations,
-        termination=termination,
-    )
-    return result, trace
+    return best
 
 
 def lasso_pg_solve(
@@ -638,43 +593,36 @@ def lasso_pg_solve(
     return SolverResult(x, nrm, nrm, history, iterations, termination)
 
 
-def iht_solve(
-    phi: np.ndarray,
-    f: np.ndarray,
-    k: int,
-    step: float | None = None,
-    max_iter: int = 500,
-    tol: float = 1e-6,
-) -> SolverResult:
+def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     """Fixed-step iterative hard thresholding:
     a <- hard_threshold(a - step * Phi^T (Phi a - f), k).
 
-    `step = None` selects 1/L with L from power iteration on Phi^T Phi.
-    The history holds the residual 2-norm after each step.
+    The step is 1/L with L from power iteration on Phi^T Phi (1 if L is
+    0).  Stops once the relative iterate change is at most 1e-6, or after
+    500 iterations.  The history holds the residual 2-norm after each
+    step.  The residual Phi a - f is carried from one step to the next,
+    so a step costs two products with Phi.
     """
     phi, f = as_system(phi, f)
     n = phi.shape[1]
     if k > n:
         raise ValueError(f"sparsity {k} exceeds dimension {n}")
-    if step is None:
-        lam = _power_iter_cols(phi)
-        step = 1.0 / lam if lam > 0 else 1.0
+    lam = _power_iter_cols(phi)
+    step = 1.0 / lam if lam > 0 else 1.0
     x = np.zeros(n)
+    r = phi @ x - f
     history: list[float] = []
     termination = "max-iterations"
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        g = phi.T @ (phi @ x - f)
-        x_new = hard_threshold(x - step * g, k)
+    for _ in range(_IHT_MAX_ITERATIONS):
+        x_new = hard_threshold(x - step * (phi.T @ r), k)
         delta = float(np.sqrt(np.sum((x_new - x) ** 2)))
         x = x_new
-        history.append(lp_norm(f - phi @ x, 2))
-        if delta <= tol * max(float(np.sqrt(x @ x)), 1e-12):
+        r = phi @ x - f
+        history.append(lp_norm(r, 2))
+        if delta <= _TOLERANCE * max(float(np.sqrt(x @ x)), 1e-12):
             termination = "converged"
             break
-    nrm = lp_norm(f - phi @ x, 2)
-    return SolverResult(x, nrm, nrm, history, iterations, termination)
+    return SolverResult(x, history[-1], history[-1], history, len(history), termination)
 
 
 def contraction_check(
@@ -693,8 +641,3 @@ def contraction_check(
     ]
     return ContractionReport(not violations, rho_bound, noise_term, violations)
 
-
-def _dist(alpha: np.ndarray, alpha_true: np.ndarray | None) -> float | None:
-    if alpha_true is None:
-        return None
-    return float(np.sqrt(np.sum((alpha - alpha_true) ** 2)))

@@ -221,14 +221,17 @@ def format_value(value) -> str:
 def parse_field(cls, name: str, text: str):
     """Field `name` of dataclass `cls` parsed from its text by the field's
     type, inverting `format_value`; ValueError if `name` is not a field
-    or the text does not parse."""
+    or the text does not parse, naming the field."""
     kind = get_type_hints(cls).get(name)
     if kind is None:
         raise ValueError(f"unknown {cls.__name__} key {name!r}")
     scalar = get_args(kind)[0] if get_args(kind) else kind
-    if get_origin(kind) is list:
-        return [scalar(v) for v in text.split(",") if v]
-    return scalar(text)
+    try:
+        if get_origin(kind) is list:
+            return [scalar(v) for v in text.split(",") if v]
+        return scalar(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def write_fields(path, obj, comments=()) -> None:
@@ -245,18 +248,23 @@ def write_fields(path, obj, comments=()) -> None:
 def read_fields(path, cls):
     """A dataclass `cls` from flat key=value lines, skipping blank lines and
     '#' comments; fields not given keep their defaults.  A line without
-    '=' or with a key that is not a field raises ValueError."""
+    '=', a key that is not a field, a value that does not parse or a
+    field set `cls` rejects raises ValueError, its message led by the
+    path."""
     kwargs = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}: line without '=': {line!r}")
-            kwargs[key.strip()] = parse_field(cls, key.strip(), value.strip())
-    return cls(**kwargs)
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"line without '=': {line!r}")
+                kwargs[key.strip()] = parse_field(cls, key.strip(), value.strip())
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_spec(path, spec: ProblemSpec) -> None:

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import time
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -326,17 +327,27 @@ def test_criterion_10_clash_sp_equivalence_at_infinite_tau():
         clash_res, clash_trace = clash_solve(
             p.phi, p.f, PursuitConfig(sparsity=15, tau=np.inf), keep_iterates=True
         )
-        same = len(sp_trace.iterates) == len(clash_trace.iterates) and all(
-            a.tobytes() == b.tobytes()
-            for a, b in zip(sp_trace.iterates, clash_trace.iterates)
-        )
-        if not (same and sp_res.alpha.tobytes() == clash_res.alpha.tobytes()):
-            mismatched.append(i)
+        differ = [
+            f_.name
+            for a, b in ((sp_res, clash_res), (sp_trace, clash_trace))
+            for f_ in fields(a)
+            if _bits(getattr(a, f_.name)) != _bits(getattr(b, f_.name))
+        ]
+        if differ:
+            mismatched.append((i, differ))
     report(
         10,
         not mismatched,
-        f"10 instances, iterates and final alpha bit-identical; mismatched={mismatched}",
+        f"10 instances, every result and trace field bit-identical; mismatched={mismatched}",
     )
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return value
 
 
 def test_criterion_11_bench_determinism(tmp_path):

@@ -1,10 +1,13 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0l1 import bench
 from l0l1.bench import (
@@ -103,12 +106,28 @@ class TestPlans:
             read_plan(path)
 
     @pytest.mark.parametrize(
-        "line", ["noise_mode=bogus", "matrix_scaling=bogus", "game_rounds=0", "k=101"]
+        "line",
+        [
+            "noise_mode=bogus",
+            "matrix_scaling=bogus",
+            "game_rounds=0",
+            "k=101",
+            "tau_grid=1,0",
+            "tau_grid=nan",
+            "sigma_grid=nan",
+            "sigma_grid=0,-0.1",
+        ],
     )
     def test_plan_file_with_invalid_value_rejected(self, tmp_path, line):
         path = tmp_path / "plan.txt"
         path.write_text(f"experiment=custom\nn=256\nm=100\n{line}\n")
         with pytest.raises(ValueError):
+            read_plan(path)
+
+    def test_plan_file_parse_error_names_key_and_file(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text("experiment=custom\ntrials=x\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: trials: invalid"):
             read_plan(path)
 
 
@@ -194,6 +213,40 @@ class TestRunSolver:
             alpha, residual, iterations = run_solver(name, p, p.tau_star, rounds=12)
             assert alpha.shape == (50,)
             assert residual >= 0.0
+
+    # solvers whose output must lie in the l1 ball; sp and iht ignore tau
+    L1_BOUNDED = ("clash", "lasso-pg", "game-l2", "game-linf")
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 30),
+        n=st.integers(1, 30),
+        k_frac=st.floats(0.0, 1.0),
+        tau_frac=st.floats(0.05, 2.0),
+        rounds=st.integers(1, 30),
+    )
+    def test_property_feasible_and_deterministic(self, seed, m, n, k_frac, tau_frac, rounds):
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=(m, n)) / np.sqrt(m)
+        k = 1 + int(k_frac * (min(m, n) - 1))
+        truth = np.zeros(n)
+        truth[rng.choice(n, size=k, replace=False)] = rng.normal(size=k)
+        f = phi @ truth + 0.01 * rng.normal(size=m)
+        tau = tau_frac * np.sum(np.abs(truth)) + 1e-3
+
+        def outputs(r):
+            return (r.alpha.tobytes(), r.residual_l2, r.residual_q, r.history,
+                    r.iterations, r.termination)
+
+        for name, solve in DIRECT.items():
+            res = solve(phi, f, k, tau, rounds)
+            sparsity = rounds if name.startswith("game") else k
+            if name != "lasso-pg":
+                assert np.count_nonzero(res.alpha) <= sparsity, name
+            if name in self.L1_BOUNDED:
+                assert np.sum(np.abs(res.alpha)) <= tau, name
+            assert outputs(solve(phi, f, k, tau, rounds)) == outputs(res), name
 
     def test_unknown_solver_rejected(self):
         p = generate(ProblemSpec(n=50, m=25, k=3, seed=7))
@@ -383,6 +436,21 @@ class TestCli:
     def test_bench_invalid_flag_value_exits_nonzero(self, tmp_path):
         rc = main(["bench", "--noise-mode", "bogus", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bench_unparsable_flag_names_the_key(self, tmp_path, capsys):
+        rc = main(["bench", "--trials", "x", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: trials: invalid literal")
+
+    def test_bench_nonpositive_tau_fails_before_solving(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bench, "run_solver", lambda *a: ran.append(a))
+        rc = main(["bench", "--n", "30", "--m", "15", "--k", "2", "--trials", "2",
+                   "--solver", "sp,clash", "--tau-grid", "1,0",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert ran == []
         assert not (tmp_path / "x.csv").exists()
 
     def test_bench_unwritable_output_exits_nonzero(self, tmp_path):
