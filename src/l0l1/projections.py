@@ -47,8 +47,14 @@ def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
 
 
 def top_k_support(w: np.ndarray, k: int) -> np.ndarray:
-    """Sorted indices of the k largest-magnitude entries (lowest-index ties)."""
+    """Sorted indices of the k largest-magnitude entries (lowest-index ties).
+
+    k = 0 gives an empty array and k >= len(w) every index; a negative k
+    raises ValueError.
+    """
     w = np.asarray(w, dtype=np.float64)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     k = min(k, w.size)
     order = np.argsort(-np.abs(w), kind="stable")
     return np.sort(order[:k])
@@ -77,7 +83,11 @@ def l1_project(w: np.ndarray, tau: float) -> np.ndarray:
     u = np.sort(mags)[::-1]
     cum = np.cumsum(u)
     j = np.arange(1, u.size + 1)
-    rho = int(np.nonzero(u > (cum - tau) / j)[0][-1])
+    above = u > (cum - tau) / j
+    # u_0 > u_0 - tau holds for every tau > 0, but not in floating point
+    # once tau is below the rounding of u_0
+    above[0] = True
+    rho = int(np.nonzero(above)[0][-1])
     theta = (cum[rho] - tau) / (rho + 1)
     out = np.sign(w) * np.maximum(mags - theta, 0.0)
     # the result sits on the l1 sphere of radius tau up to roundoff; the

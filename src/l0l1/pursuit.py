@@ -8,10 +8,11 @@
   the inner solves: active set expansion, greedy descent with shrinkage
   over the extended support, combinatorial selection, and an l1-aware
   de-bias on the pruned support.  Each inner solve is l1-constrained
-  least squares on at most 2k columns, solved exactly by a primal
-  active-set method on the sign pattern, warm-started from the previous
-  iterate.  With tau = inf the inner solves collapse to plain restricted
-  least squares and the loop is subspace pursuit's.
+  least squares on at most 2k columns, solved exactly by block principal
+  pivoting on the sign pattern, warm-started from the previous iterate,
+  and each distinct one is solved once per `clash_solve` call.  With
+  tau = inf the inner solves collapse to plain restricted least squares
+  and the loop is subspace pursuit's.
 * `lasso_pg_solve` - projected gradient over the full coordinate space
   with the l1 ball projection, fixed step 1/L.
 * `iht_solve` - fixed-step iterative hard thresholding, kept as a
@@ -92,6 +93,14 @@ class ContractionReport:
     violations: list[tuple[int, float, float]]
 
 
+def _check_sparsity(k: int, phi: np.ndarray) -> None:
+    """Reject a sparsity above min(M, N): no more columns than Phi has, and
+    no more than its rows, the most a least-squares fit determines."""
+    if k > min(phi.shape):
+        m, n = phi.shape
+        raise ValueError(f"sparsity {k} exceeds min(M, N) = min({m}, {n})")
+
+
 def _power_iter_cols(a: np.ndarray, iters: int = 20, rel_tol: float = 1e-6) -> float:
     """Largest eigenvalue of A^T A without forming the Gram matrix."""
     n = a.shape[1]
@@ -119,7 +128,7 @@ def _l1_restricted_lsq(
     """Exact minimizer of ||f - Phi v||_2^2 over supp(v) in `support`,
     ||v||_1 <= tau.
 
-    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and a primal
+    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and an
     active-set method finds the minimizer, warm-started from the signs of
     `warm` (see `_l1_active_set`).  When the unconstrained least-squares
     fit lies inside the ball the method ends at it, off the l1 sphere;
@@ -148,9 +157,9 @@ _BLOCK = 64
 class _ActiveSet:
     """An ordered active set A of columns of a Gram matrix G, with a sign
     and a value per index and G_AA^{-1}, in buffers sized for `cap`
-    indices.  Indices enter at the end and leave by swapping the last one
-    into their place, so that every update of G_AA^{-1} is a rank-one
-    change made in place in O(|A|^2).
+    indices.  Single pivots enter an index at the end, a rank-one change
+    of G_AA^{-1} made in place in O(|A|^2); block pivots append several
+    (`extend`) in one blocked update.  Both remove indices with `leave`.
     """
 
     def __init__(self, gram: np.ndarray, cap: int):
@@ -185,25 +194,28 @@ class _ActiveSet:
         self.idx[p], self.sgn[p], self.x[p] = j, sj, xj
         self.size = p + 1
 
-    def leave(self, i: int) -> None:
-        p = self.size - 1
-        h = self._hinv
-        for arr in (self.idx, self.sgn, self.x):
-            arr[i] = arr[p]
-        h[[i, p], : p + 1] = h[[p, i], : p + 1]
-        h[: p + 1, [i, p]] = h[: p + 1, [p, i]]
-        col = h[:p, p].copy()
-        h[:p, :p] -= np.outer(col, col / h[p, p])
-        self.size = p
-
     def rebuild(self) -> bool:
         """Form G_AA^{-1} again from scratch, bordering in `_BLOCK` indices
         at a time; False if a column lies numerically in the span of the
         ones before it (its Cholesky pivot squared is at most
         sqrt(eps) G_jj, as in `independent`)."""
-        gram, h, n = self.gram, self._hinv, self.size
+        n, self.size = self.size, 0
+        return self._border_to(n)
+
+    def extend(self, idx: np.ndarray, sgn: np.ndarray) -> bool:
+        """Append indices with their signs, bordering G_AA^{-1} in blocks
+        as `rebuild` does, with the same False on a dependent column."""
+        p, q = self.size, self.size + idx.size
+        self.idx[p:q], self.sgn[p:q] = idx, sgn
+        return self._border_to(q)
+
+    def _border_to(self, n: int) -> bool:
+        """Border G_AA^{-1} with the indices at positions size..n-1,
+        `_BLOCK` at a time; on a dependent column, False with the size at
+        the blocks bordered so far."""
+        gram, h = self.gram, self._hinv
         eps = np.finfo(np.float64).eps
-        for p in range(0, n, _BLOCK):
+        for p in range(self.size, n, _BLOCK):
             q = min(p + _BLOCK, n)
             old, new = self.idx[:p], self.idx[p:q]
             cross = gram[np.ix_(old, new)]
@@ -221,7 +233,26 @@ class _ActiveSet:
             h[:p, p:q] = -cs
             h[p:q, :p] = -cs.T
             h[p:q, p:q] = s_inv
+            self.size = q
         return True
+
+    def leave(self, out: np.ndarray | list[int]) -> None:
+        """Remove the indices at positions `out` at once, the rest keeping
+        their order: G_KK^{-1} = H_KK - H_KO H_OO^{-1} H_OK with H the
+        current G_AA^{-1}, in O(|A|^2 |out|)."""
+        keep = np.ones(self.size, dtype=bool)
+        keep[out] = False
+        keep = np.nonzero(keep)[0]
+        h = self.hinv
+        h_ko = h[np.ix_(keep, out)]
+        new = h[np.ix_(keep, keep)] - h_ko @ np.linalg.solve(
+            h[np.ix_(out, out)], h[np.ix_(out, keep)]
+        )
+        q = keep.size
+        self._hinv[:q, :q] = new
+        for arr in (self.idx, self.sgn, self.x):
+            arr[:q] = arr[keep]
+        self.size = q
 
 
 def _first_zero(xa: np.ndarray, sgn: np.ndarray, d: np.ndarray) -> tuple[float, int]:
@@ -237,11 +268,86 @@ def _first_zero(xa: np.ndarray, sgn: np.ndarray, d: np.ndarray) -> tuple[float, 
     return max(float(ratios[i]), 0.0), i
 
 
+# Block exchanges in a row that do not lower the count of violated
+# optimality conditions before `_l1_active_set` gives up on them and pivots
+# one index at a time (the backup rule of Kim & Park 2011)
+_BACKUP = 3
+
+
+def _block_pivots(
+    gram: np.ndarray,
+    b: np.ndarray,
+    tau: float,
+    start: np.ndarray,
+    rows: int,
+    slack: float,
+) -> np.ndarray | None:
+    """Block principal pivoting for the problem of `_l1_active_set`: the
+    minimizer, or None once the backup rule runs out or an active set
+    would be singular, as it is with more than `rows` indices.
+
+    The state is an active set A with signs s and no iterate.  Each step
+    solves the face {supp(x) in A, s^T x_A <= tau} at once, x_A = u - lam v
+    with lam = max((s^T u - tau) / (s^T v), 0), and exchanges every
+    violator together: each coordinate of A whose sign disagrees with s
+    leaves, and each j off A with |g_j| > lam, g = b - G x, enters with the
+    sign of g_j.  With no violator left, G_AA^{-1} is formed from scratch
+    and the conditions are checked again before x is returned.
+    """
+    size, g_max = b.size, np.max(np.diag(gram))
+    state = _ActiveSet(gram, min(size, rows))
+    warm = np.nonzero(start)[0]
+    if warm.size <= rows and not state.extend(warm, np.sign(start[warm])):
+        state.size = 0
+    fresh, fewest, backup = True, size + 1, _BACKUP
+    while True:
+        p = state.size
+        act, sgn, hinv = state.idx[:p], state.sgn[:p], state.hinv
+        u, v = hinv @ b[act], hinv @ sgn
+        curve = float(sgn @ v) if p else 1.0
+        if not curve > 0.0:
+            # s^T G_AA^{-1} s > 0 while G_AA^{-1} stays positive definite
+            return None
+        lam = max(float(sgn @ u - tau) / curve, 0.0)
+        x = np.zeros(size)
+        x[act] = u - lam * v
+        g = b - gram @ x
+        excess = np.abs(g) - lam
+        excess[act] = -np.inf
+        tol = slack * (1.0 + g_max * np.max(np.diag(hinv), initial=0.0))
+        enter = np.nonzero(excess > tol + 1e-10 * lam)[0]
+        leave = np.nonzero(sgn * x[act] < 0.0)[0]
+        if enter.size == 0 and leave.size == 0:
+            if fresh:
+                return x
+            if not state.rebuild():
+                return None
+            fresh = True
+            continue
+        if enter.size + leave.size < fewest:
+            fewest, backup = enter.size + leave.size, _BACKUP
+        elif backup > 0:
+            backup -= 1
+        else:
+            return None
+        if leave.size:
+            state.leave(leave)
+        if state.size + enter.size > rows:
+            return None
+        if not state.extend(enter, np.sign(g[enter])):
+            return None
+        fresh = False
+
+
 def _l1_active_set(
     gram: np.ndarray, b: np.ndarray, tau: float, start: np.ndarray, rows: int
 ) -> np.ndarray:
-    """Primal active-set method for min 1/2 x^T G x - b^T x over
-    ||x||_1 <= tau (Osborne, Presnell & Turlach 2000).
+    """Exact minimizer of 1/2 x^T G x - b^T x over ||x||_1 <= tau.
+
+    Block principal pivoting (`_block_pivots`, after Kim & Park 2011)
+    runs first and usually finds it.  When it gives up, a primal
+    active-set method that pivots one index at a time (Osborne, Presnell
+    & Turlach 2000) starts again from `start`, as follows.
 
     The state is an active set A with signs s and G_AA nonsingular, an
     iterate x supported on A with sign(x_A) in {0, s}, and whether
@@ -262,10 +368,11 @@ def _l1_active_set(
     `_ActiveSet`).  When no pivot applies, G_AA^{-1} is formed again from
     scratch and the conditions are checked again before x is returned.
 
-    Starts from the signs of `start` scaled onto the sphere, or from x = 0
-    if `start` is zero or its Gram block is singular, as it is with more
-    nonzeros than `rows`.  Raises RuntimeError if the pivots run out or
-    the final active set is singular.
+    Both methods start from the signs of `start`, the single pivots with
+    `start` scaled onto the sphere, or from x = 0 if `start` is zero or
+    its Gram block is singular, as it is with more nonzeros than `rows`.
+    Raises RuntimeError if the single pivots run out or their final
+    active set is singular.
     """
     size = b.size
     eps = np.finfo(np.float64).eps
@@ -274,6 +381,9 @@ def _l1_active_set(
     # the error of x_A adds the same amplified by the condition number of
     # G_AA, estimated at each pivot as g_max max(diag(G_AA^{-1}))
     slack = size * eps * (np.max(np.abs(b)) + g_max * tau)
+    x = _block_pivots(gram, b, tau, start, rows, slack)
+    if x is not None:
+        return x
     state = _ActiveSet(gram, min(size, rows))
     warm = np.nonzero(start)[0]
     if 0 < warm.size <= rows:
@@ -326,7 +436,7 @@ def _l1_active_set(
                 continue
         if drop >= 0:
             xa += step * d
-            state.leave(drop)
+            state.leave([drop])
             fresh = False
             continue
         xa[:] = z
@@ -354,7 +464,7 @@ def _l1_active_set(
                 # is while ||x||_1 falls, until a coordinate of A is zero
                 t, i = _first_zero(xa, sgn, trade)
                 xa += t * trade
-                state.leave(i)
+                state.leave([i])
                 c, schur = state.coupling(j)
                 state.enter(j, sj, t * sj, c, schur)
                 held, fresh = False, False
@@ -399,6 +509,7 @@ def _clash_loop(
     alpha0: np.ndarray,
     trace: IterateTrace | None,
     momentum: bool = False,
+    memo: dict | None = None,
 ) -> SolverResult:
     """The four-step iteration at a fixed budget (k, tau), from alpha0.
 
@@ -419,13 +530,33 @@ def _clash_loop(
     residual norm exceeds the previous one's is dropped and the loop ends
     with "residual stopped decreasing".  Phi alpha is formed once per
     iterate, for the stop rule, the trace and the next expansion.
+
+    The de-bias is skipped when pruning keeps every nonzero of the step-2
+    minimizer v: v minimizes over the extended support, so also over the
+    pruned one, and it is the new iterate.  Inner answers are kept in
+    `memo`, keyed by (tau, support), as read-only arrays of their values
+    on the support; a support solved before at the same budget, in this
+    loop or in another sharing `memo`, is not solved again.  The
+    minimizer is unique while G_SS is nonsingular, so the warm start of a
+    repeat would change its rounding only.
     """
     norm_active = np.isfinite(tau)
+    memo = {} if memo is None else memo
 
-    def inner(support: np.ndarray, warm: np.ndarray | None) -> np.ndarray:
-        if not norm_active:
-            return restricted_lsq(phi, f, support)
-        return _l1_restricted_lsq(phi, f, support, tau, warm)
+    def inner(support: np.ndarray, warm: np.ndarray) -> np.ndarray:
+        key = (tau, support.tobytes())
+        values = memo.get(key)
+        if values is None:
+            if norm_active:
+                solved = _l1_restricted_lsq(phi, f, support, tau, warm)
+            else:
+                solved = restricted_lsq(phi, f, support)
+            values = solved[support]
+            values.flags.writeable = False
+            memo[key] = values
+        out = np.zeros(phi.shape[1])
+        out[support] = values
+        return out
 
     alpha = alpha0
     alpha_prev = alpha0
@@ -445,9 +576,13 @@ def _clash_loop(
         grow = k if norm_active else min(k, phi.shape[0] - support.size)
         extended = np.union1d(support, top_k_support(corr, grow))
         v = inner(extended, alpha)
-        gamma = hard_threshold(v, k)
-        new_support = np.nonzero(gamma)[0]
-        alpha_new = inner(new_support, gamma)
+        if np.count_nonzero(v) <= k:
+            # pruning keeps all of v, which then also minimizes over its own
+            # support: the de-bias would return it again
+            alpha_new = v
+        else:
+            gamma = hard_threshold(v, k)
+            alpha_new = inner(np.nonzero(gamma)[0], gamma)
         residual_new = f - phi @ alpha_new
         res_norm_new = float(np.sqrt(residual_new @ residual_new))
         if not norm_active and res_norm_new > res_norm:
@@ -486,8 +621,11 @@ def clash_solve(
     (`_l1_restricted_lsq`) by a primal active-set method on the sign
     pattern, warm-started from the current iterate (step 2) or the pruned
     vector (step 4); it raises RuntimeError if it fails to reach the
-    optimum.  The loop stops once the relative iterate change is at most
-    1e-6, or after 100 iterations.  With tau = inf steps 2 and 4 are
+    optimum.  Step 4 is skipped when pruning keeps every nonzero of the
+    step-2 answer, which is then already the de-biased iterate, and each
+    distinct (budget, support) problem is solved once per call, however
+    many loops of the portfolio meet it.  The loop stops once the relative
+    iterate change is at most 1e-6, or after 100 iterations.  With tau = inf steps 2 and 4 are
     plain restricted least squares, the loop stops as subspace pursuit
     does, and the result is `sp_solve`'s.
 
@@ -519,22 +657,23 @@ def _pursue(
     """The body of `clash_solve` and `sp_solve`: the portfolio when tau is
     finite, one cold start from alpha = 0 when it is not."""
     phi, f = as_system(phi, f)
-    m, n = phi.shape
-    if k > m:
-        raise ValueError(f"sparsity {k} exceeds number of measurements {m}")
-
+    _check_sparsity(k, phi)
+    n = phi.shape[1]
     portfolio = CONTINUATION_PORTFOLIO if np.isfinite(tau) else (((), False),)
     exact_fit = 1e-6 * max(float(np.sqrt(f @ f)), 1e-12)
     best: tuple[SolverResult, IterateTrace] | None = None
     stalls = 0
+    memo: dict = {}
     for schedule, momentum in portfolio:
         alpha = np.zeros(n)
         for fraction in schedule:
             stage_tau = fraction * tau
             alpha = l1_project(alpha, stage_tau)
-            alpha = _clash_loop(phi, f, k, stage_tau, alpha, None, momentum).alpha
+            alpha = _clash_loop(phi, f, k, stage_tau, alpha, None, momentum, memo).alpha
         trace = IterateTrace(alpha_true, keep_iterates)
-        result = _clash_loop(phi, f, k, tau, l1_project(alpha, tau), trace, momentum)
+        result = _clash_loop(
+            phi, f, k, tau, l1_project(alpha, tau), trace, momentum, memo
+        )
         res_norm = result.residual_l2
         if best is None or res_norm < best[0].residual_l2 * (1.0 - 5e-3):
             stalls = 0
@@ -604,9 +743,8 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     so a step costs two products with Phi.
     """
     phi, f = as_system(phi, f)
+    _check_sparsity(k, phi)
     n = phi.shape[1]
-    if k > n:
-        raise ValueError(f"sparsity {k} exceeds dimension {n}")
     lam = _power_iter_cols(phi)
     step = 1.0 / lam if lam > 0 else 1.0
     x = np.zeros(n)

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0l1.projections import (
     ConstraintSet,
@@ -27,6 +29,31 @@ def l1_project_theta_oracle(w, tau):
             hi = mid
     theta = 0.5 * (lo + hi)
     return np.sign(w) * np.maximum(mags - theta, 0.0)
+
+
+def l1_ball_oracle(w, tau):
+    """Exhaustive oracle for the l1 ball projection: w itself when inside
+    the ball, else the closest of 0 and the candidates that soft-threshold
+    a support S by theta = (||w_S||_1 - tau) / |S| >= 0 without moving an
+    entry of S past zero.  Each candidate lies in the ball, and the
+    projection is one of them."""
+    n = w.size
+    if np.abs(w).sum() <= tau:
+        return w.copy()
+    best, best_d = np.zeros(n), float(np.sum(w**2))
+    for r in range(1, n + 1):
+        for support in combinations(range(n), r):
+            idx = list(support)
+            mags = np.abs(w[idx])
+            theta = (mags.sum() - tau) / r
+            if theta < 0 or np.any(mags < theta):
+                continue
+            x = np.zeros(n)
+            x[idx] = np.sign(w[idx]) * (mags - theta)
+            d = float(np.sum((x - w) ** 2))
+            if d < best_d:
+                best, best_d = x, d
+    return best
 
 
 def joint_projection_oracle(w, k, tau):
@@ -77,6 +104,12 @@ class TestHardThreshold:
     def test_top_k_support_sorted(self):
         s = top_k_support(np.array([0.0, 5.0, -7.0, 1.0]), 2)
         assert np.array_equal(s, [1, 2])
+
+    def test_top_k_support_rejects_negative_k(self):
+        w = np.array([0.0, 5.0, -7.0, 1.0])
+        with pytest.raises(ValueError):
+            top_k_support(w, -1)
+        assert top_k_support(w, 0).size == 0
 
 
 class TestL1Project:
@@ -199,3 +232,42 @@ class TestProjectKTau:
             lambda w: project_k_tau(w, ConstraintSet(2, 1.5)),
         ):
             assert np.array_equal(proj(np.zeros(5)), np.zeros(5))
+
+
+# vectors of length <= 8 with repeated magnitudes likely, so that ties
+# between entries get exercised
+small_vectors = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(-10.0, 10.0),
+    min_size=1, max_size=8,
+).map(np.array)
+
+
+class TestProjectionProperties:
+    """The projections against the exhaustive-support oracles on generated
+    inputs, beyond the fixed seeds of the tests above."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(w=small_vectors, frac=st.floats(0.0, 1.5))
+    def test_l1_project_matches_oracle(self, w, frac):
+        tau = frac * float(np.abs(w).sum())
+        mine = l1_project(w, tau)
+        best = l1_ball_oracle(w, tau)
+        scale = 1e-9 * max(1.0, float(w @ w))
+        assert np.abs(mine).sum() <= tau
+        assert np.sum((mine - w) ** 2) <= np.sum((best - w) ** 2) + scale
+        np.testing.assert_allclose(mine, best, atol=1e-6 * max(1.0, np.abs(w).max()))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(w=small_vectors, k_frac=st.floats(0.0, 1.0), frac=st.floats(0.0, 1.5))
+    def test_project_k_tau_matches_oracle(self, w, k_frac, frac):
+        k = 1 + int(k_frac * (w.size - 1))
+        tau = frac * float(np.abs(w).sum())
+        mine = project_k_tau(w, ConstraintSet(k, tau))
+        best_d = min(
+            float(np.sum((l1_ball_oracle(np.where(keep, w, 0.0), tau) - w) ** 2))
+            for support in combinations(range(w.size), k)
+            for keep in [np.isin(np.arange(w.size), support)]
+        )
+        assert np.count_nonzero(mine) <= k
+        assert np.abs(mine).sum() <= tau
+        assert np.sum((mine - w) ** 2) <= best_d + 1e-9 * max(1.0, float(w @ w))

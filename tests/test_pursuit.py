@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l0l1 import pursuit
 from l0l1.numerics import lp_norm, restricted_lsq
 from l0l1.projections import hard_threshold, top_k_support
 from l0l1.pursuit import (
@@ -317,6 +318,109 @@ class TestL1RestrictedLsq:
         assert_kkt(phi, f, out, tau, abs_tol=rounding_level(phi, out) * scale)
 
 
+def half_budget_instance(seed):
+    p = generate(ProblemSpec(n=200, m=64, k=20, sigma=0.05, seed=seed,
+                             noise_mode="fixed-norm"))
+    return p, 0.5 * p.tau_star
+
+
+class TestInnerSolveReuse:
+    """CLASH solves each distinct inner problem at most once per solve."""
+
+    def record_inner_calls(self, monkeypatch):
+        calls = []
+
+        def counting(phi, f, support, tau, warm):
+            out = _l1_restricted_lsq(phi, f, support, tau, warm)
+            calls.append((tau, support.copy(), np.nonzero(out)[0]))
+            return out
+
+        monkeypatch.setattr(pursuit, "_l1_restricted_lsq", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_budget_and_support_solved_twice(self, monkeypatch, seed):
+        calls = self.record_inner_calls(monkeypatch)
+        p, tau = half_budget_instance(derive_seed(1, seed))
+        clash_solve(p.phi, p.f, PursuitConfig(sparsity=20, tau=tau))
+        keys = [(t, s.tobytes()) for t, s, _ in calls]
+        assert len(calls) > 0
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_refit_of_the_previous_output_support(self, monkeypatch, seed):
+        # a de-bias on the support the step-2 solve already returned would
+        # give back that solve's answer
+        calls = self.record_inner_calls(monkeypatch)
+        p, tau = half_budget_instance(derive_seed(1, seed))
+        clash_solve(p.phi, p.f, PursuitConfig(sparsity=20, tau=tau))
+        last = {}
+        for t, support, nonzero in calls:
+            if t in last:
+                assert not np.array_equal(support, last[t])
+            last[t] = nonzero
+
+    def test_memoized_answers_are_read_only(self):
+        p, tau = half_budget_instance(derive_seed(1, 0))
+        memo = {}
+        _clash_loop(p.phi, p.f, 20, tau, np.zeros(200), None, memo=memo)
+        assert memo
+        for values in memo.values():
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+    def test_memo_hits_return_the_stored_answer(self):
+        p, tau = half_budget_instance(derive_seed(1, 1))
+        memo = {}
+        first = _clash_loop(p.phi, p.f, 20, tau, np.zeros(200), None, memo=memo)
+        stored = dict(memo)
+        again = _clash_loop(p.phi, p.f, 20, tau, np.zeros(200), None, memo=memo)
+        assert memo.keys() == stored.keys()
+        assert differing_fields(first, again) == []
+
+
+class TestBlockPivots:
+    """The block exchanges of `_l1_active_set` and their single-pivot
+    fallback."""
+
+    def from_zero_case(self, seed):
+        # a from-zero expansion solve of clash-tau: the top-57 correlations
+        # of a tau-sweep instance at half the true budget
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=seed,
+                                 noise_mode="fixed-norm"))
+        return p, top_k_support(p.phi.T @ p.f, 57), 0.5 * p.tau_star
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_from_zero_solve_enters_few_single_indices(self, monkeypatch, seed):
+        entries = []
+        enter = pursuit._ActiveSet.enter
+
+        def counting(self, *args):
+            entries.append(args)
+            return enter(self, *args)
+
+        monkeypatch.setattr(pursuit._ActiveSet, "enter", counting)
+        p, support, tau = self.from_zero_case(derive_seed(808, seed))
+        out = _l1_restricted_lsq(p.phi, p.f, support, tau, None)
+        # pivoting one index at a time from zero, every nonzero of the
+        # answer enters on its own
+        assert len(entries) < np.count_nonzero(out) / 2
+        assert_kkt(p.phi[:, support], p.f, out[support], tau,
+                   abs_tol=1e-9 * np.max(np.abs(p.phi[:, support].T @ p.f)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_pivot_fallback_finds_the_same_minimizer(self, monkeypatch, seed):
+        p, support, tau = self.from_zero_case(derive_seed(809, seed))
+        rng = np.random.default_rng(seed)
+        warm = np.zeros(500)
+        warm[support[::4]] = rng.normal(size=support[::4].size)
+        blocked = [_l1_restricted_lsq(p.phi, p.f, support, tau, w) for w in (None, warm)]
+        monkeypatch.setattr(pursuit, "_block_pivots", lambda *args: None)
+        single = [_l1_restricted_lsq(p.phi, p.f, support, tau, w) for w in (None, warm)]
+        for a, b in zip(blocked, single):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.max(np.abs(b)))
+
+
 class TestInputChecks:
     SOLVERS = {
         "clash": lambda phi, f: clash_solve(phi, f, PursuitConfig(sparsity=2, tau=1.0)),
@@ -337,6 +441,18 @@ class TestInputChecks:
             f = f[:-1]
         with pytest.raises(ValueError):
             self.SOLVERS[solver](phi, f)
+
+    @pytest.mark.parametrize("solver", ["clash", "sp", "iht"])
+    @pytest.mark.parametrize("shape, k", [((10, 5), 7), ((3, 8), 5)])
+    def test_sparsity_above_rows_or_columns_rejected(self, solver, shape, k):
+        phi, f, _ = gaussian_case(6, *shape)
+        call = {
+            "clash": lambda: clash_solve(phi, f, PursuitConfig(sparsity=k, tau=1.0)),
+            "sp": lambda: sp_solve(phi, f, PursuitConfig(sparsity=k)),
+            "iht": lambda: iht_solve(phi, f, k),
+        }[solver]
+        with pytest.raises(ValueError, match="exceeds min"):
+            call()
 
 
 class TestLassoPG:
