@@ -14,16 +14,15 @@ from l0l1 import (
     hard_threshold,
     l1_project,
     lifted_entropy_geometry,
+    max_update,
     project_k_tau,
 )
 from l0l1.bregman import (
     ENTROPY,
-    ITAKURA_SAITO,
-    MAHALANOBIS,
     BregmanGeometry,
     DualBall,
-    lift_to_simplex,
     simplex_to_dual,
+    uniform_simplex_weights,
 )
 
 w = np.array([3.0, 1.0, 0.5, -0.2])
@@ -32,17 +31,11 @@ print("keep top 2 magnitudes:   ", hard_threshold(w, 2))
 print("shrink into l1 ball (2): ", l1_project(w, 2.0))
 print("both, k=2 and tau=3:     ", project_k_tau(w, ConstraintSet(2, 3.0)))
 
-print("\nBregman distances for the classic potentials:")
+print("\nBregman distances of the dual player's two geometries:")
 p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
 eu = euclidean_geometry(2)
 print("  squared euclidean:", bregman_distance(eu, p, q))
 print("  entropy (KL form):", bregman_distance(BregmanGeometry(ENTROPY, 2), p, q))
-print("  itakura-saito:    ", bregman_distance(BregmanGeometry(ITAKURA_SAITO, 2), p, q))
-mat = np.array([[2.0, 0.5], [0.5, 1.0]])
-print(
-    "  mahalanobis:      ",
-    bregman_distance(BregmanGeometry(MAHALANOBIS, 2, matrix=mat), p, q),
-)
 
 print("\ngradient maps invert each other:")
 x = np.array([0.2, 1.7])
@@ -54,9 +47,14 @@ print("  l2 ball projection of (3,4):", bregman_project(eu, DualBall(2, 2), q_ou
 
 # the l1 ball is handled through nonnegative simplex weights
 # (positive parts, negative parts, slack)
-point = np.array([0.25, -0.5])
-weights = lift_to_simplex(point)
-print("  lift of (0.25, -0.5):", weights)
+weights = np.array([0.25, 0.0, 0.0, 0.5, 0.25])
+print("  (0.25, -0.5) lifted:", weights)
 ent = lifted_entropy_geometry(2)
 rescaled = bregman_project(ent, DualBall(1, 2), weights * 3.0)
 print("  KL projection is renormalization:", simplex_to_dual(rescaled))
+
+print("\none closed-form dual step of each game, at eta = 0.5:")
+r = np.array([1.0, -2.0])
+print("  q = 2, P + (eta/2) r:", max_update(np.zeros(2), r, 0.5, eu, DualBall(2, 2)))
+w = max_update(uniform_simplex_weights(2), r, 0.5, ent, DualBall(1, 2))
+print("  q = inf, multiplicative weights:", w, "-> P =", simplex_to_dual(w))

@@ -1,9 +1,5 @@
-"""Bregman potentials, distances, gradient maps, and Bregman projections.
-
-Four classic potentials are evaluable as distances (squared Euclidean,
-squared Mahalanobis, entropy, Itakura-Saito).  Gradient maps and Bregman
-projections are provided for the two geometries the game solver actually
-plays in:
+"""Bregman distances, gradient maps and Bregman projections for the two
+geometries the game's dual player plays in:
 
 * squared Euclidean on the l2 unit ball (dual exponent p = 2), and
 * scaled entropy on a lifted probability simplex encoding the l1 unit
@@ -11,9 +7,14 @@ plays in:
 
 The l1 ball {P in R^M : ||P||_1 <= 1} is represented by 2M + 1 nonnegative
 weights summing to one: positive parts, negative parts, and one slack
-coordinate.  The encoded point is P_i = w_i - w_{M+i}.  Under entropy the
-Bregman projection onto the simplex is plain renormalization, which keeps
-the multiplicative update closed-form.
+coordinate.  The encoded point is P_i = w_i - w_{M+i}.
+
+The game steps in closed form (`game.max_update`): at p = 2 the gradient
+map and its inverse cancel to an additive step followed by radial
+shrinking, and at p = 1 to multiplicative weights followed by
+renormalization, the entropy projection onto the simplex.  The maps and
+projections below are those steps written term by term, and `grad_map`
+states the three-point and symmetrized identities of the distances.
 
 Scale conventions: the Euclidean potential uses scale 1, so the distance
 lower bound B(P, Q) >= ||P - Q||_2^2 holds with equality; the entropy
@@ -28,47 +29,25 @@ from dataclasses import dataclass
 import numpy as np
 
 SQUARED_EUCLIDEAN = "squared-euclidean"
-MAHALANOBIS = "mahalanobis"
 ENTROPY = "entropy"
-ITAKURA_SAITO = "itakura-saito"
-
-_KINDS = (SQUARED_EUCLIDEAN, MAHALANOBIS, ENTROPY, ITAKURA_SAITO)
-
-# positive-orthant floor applied before logarithms; preserves results at
-# tested tolerances while avoiding -inf
-WEIGHT_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class BregmanGeometry:
     """A potential R (by name), its domain dimension, and a positive scale
-    multiplying R.  `matrix` is the PSD matrix of the Mahalanobis potential
-    and must be None otherwise."""
+    multiplying R."""
 
     kind: str
     dim: int
     scale: float = 1.0
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in (SQUARED_EUCLIDEAN, ENTROPY):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-        if self.kind == MAHALANOBIS:
-            if self.matrix is None:
-                raise ValueError("mahalanobis geometry needs a PSD matrix")
-            m = np.asarray(self.matrix, dtype=np.float64)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("mahalanobis matrix shape mismatch")
-            if not np.allclose(m, m.T):
-                raise ValueError("mahalanobis matrix must be symmetric")
-            if np.linalg.eigvalsh(m)[0] < -1e-10 * max(1.0, abs(m).max()):
-                raise ValueError("mahalanobis matrix must be positive semidefinite")
-        elif self.matrix is not None:
-            raise ValueError(f"{self.kind} geometry takes no matrix")
 
 
 @dataclass(frozen=True)
@@ -99,7 +78,7 @@ def _check_point(g: BregmanGeometry, x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.dim,):
         raise ValueError(f"{name} has shape {x.shape}, geometry dimension is {g.dim}")
-    if g.kind in (ENTROPY, ITAKURA_SAITO) and np.any(x <= 0):
+    if g.kind == ENTROPY and np.any(x <= 0):
         raise ValueError(f"{name} must be strictly positive for {g.kind}")
     return x
 
@@ -110,39 +89,27 @@ def bregman_distance(g: BregmanGeometry, p: np.ndarray, q: np.ndarray) -> float:
     Closed forms, each multiplied by the geometry scale:
 
     * squared Euclidean:  ||P - Q||_2^2
-    * squared Mahalanobis: <P - Q, Phi (P - Q)>
     * entropy:            sum_i P_i log(P_i / Q_i) - sum_i (P_i - Q_i)
-    * Itakura-Saito:      sum_i (P_i / Q_i - log(P_i / Q_i) - 1)
 
-    Entropy and Itakura-Saito require strictly positive entries.
+    Entropy requires strictly positive entries.
     """
     p = _check_point(g, p, "P")
     q = _check_point(g, q, "Q")
     if g.kind == SQUARED_EUCLIDEAN:
         d = p - q
         val = float(d @ d)
-    elif g.kind == MAHALANOBIS:
-        d = p - q
-        val = float(d @ (np.asarray(g.matrix, dtype=np.float64) @ d))
-    elif g.kind == ENTROPY:
+    else:
         val = float(np.sum(p * np.log(p / q)) - np.sum(p - q))
-    else:  # itakura-saito
-        ratio = p / q
-        val = float(np.sum(ratio - np.log(ratio) - 1.0))
     return g.scale * val
 
 
 def grad_map(g: BregmanGeometry, p: np.ndarray) -> np.ndarray:
-    """grad R at P for the geometries the game updates in.
-
-    squared Euclidean with scale s: 2 s P;  entropy with scale s: s log P.
-    """
+    """grad R at P: 2 s P for squared Euclidean with scale s, s log P for
+    entropy with scale s."""
     p = _check_point(g, p, "P")
     if g.kind == SQUARED_EUCLIDEAN:
         return 2.0 * g.scale * p
-    if g.kind == ENTROPY:
-        return g.scale * np.log(np.maximum(p, WEIGHT_FLOOR))
-    raise ValueError(f"grad_map is not defined for {g.kind} (distance evaluator only)")
+    return g.scale * np.log(p)
 
 
 def grad_map_inverse(g: BregmanGeometry, y: np.ndarray) -> np.ndarray:
@@ -153,9 +120,7 @@ def grad_map_inverse(g: BregmanGeometry, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"gradient has shape {y.shape}, geometry dimension is {g.dim}")
     if g.kind == SQUARED_EUCLIDEAN:
         return y / (2.0 * g.scale)
-    if g.kind == ENTROPY:
-        return np.exp(y / g.scale)
-    raise ValueError(f"grad_map_inverse is not defined for {g.kind}")
+    return np.exp(y / g.scale)
 
 
 def bregman_project(g: BregmanGeometry, ball: DualBall, q: np.ndarray) -> np.ndarray:
@@ -184,21 +149,6 @@ def bregman_project(g: BregmanGeometry, ball: DualBall, q: np.ndarray) -> np.nda
             raise ValueError("lifted weights must not all vanish")
         return q / total
     raise ValueError(f"unsupported geometry/ball pairing ({g.kind}, p={ball.p})")
-
-
-# ---------------------------------------------------------------------------
-# lifted-simplex encoding of the l1 unit ball
-# ---------------------------------------------------------------------------
-
-def lift_to_simplex(p: np.ndarray) -> np.ndarray:
-    """Encode a point of the l1 unit ball as 2M + 1 simplex weights
-    (positive parts, negative parts, slack)."""
-    p = np.asarray(p, dtype=np.float64)
-    l1 = float(np.sum(np.abs(p)))
-    if l1 > 1.0 + 1e-12:
-        raise ValueError(f"point has l1 norm {l1} > 1, not in the dual ball")
-    w = np.concatenate([np.maximum(p, 0.0), np.maximum(-p, 0.0), [max(1.0 - l1, 0.0)]])
-    return w
 
 
 def simplex_to_dual(w: np.ndarray) -> np.ndarray:

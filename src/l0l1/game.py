@@ -8,23 +8,28 @@ is recast as a two-player zero-sum game with the bilinear loss
 L(P, a) = <P, Phi a - f> played between a dual player choosing P in the
 unit lp ball (p = q / (q - 1)) and a primal player choosing a in the l1
 ball of radius tau.  Each round the primal player answers the current P
-with an exactly 1-sparse best response, and the dual player takes a
-regularized ascent step in its Bregman geometry followed by a Bregman
-projection back onto its ball.  The average of the T primal plays is
+with an exactly 1-sparse best response, and the dual player takes one
+step of mirror ascent on the loss.  The average of the T primal plays is
 therefore T-sparse and l1-feasible by construction, and its residual is
 within an additive D*G / (2 sqrt(T)) of the best l1-feasible residual.
 
-Two instantiations are provided: q = 2 plays in the squared-Euclidean
-geometry (additive updates), q = inf plays in the scale-2 entropy geometry
-on the lifted simplex (multiplicative updates).  The Dantzig-selector form
-is the q = inf game on the pair (Phi^T Phi, Phi^T f), played through Phi
-and Phi^T without storing the N x N matrix Phi^T Phi.
+Both dual steps are closed forms with rate eta / 2.  At q = 2 the dual
+player plays in the squared-Euclidean geometry: P + (eta / 2) r, shrunk
+radially onto the unit 2-ball.  At q = inf it plays multiplicative
+weights (Freund & Schapire 1999) on 2M + 1 lifted simplex weights that
+encode the l1 ball: w <- w * exp((eta / 2) [r; -r; 0]), renormalized.
+The Dantzig-selector form is the q = inf game on the pair
+(Phi^T Phi, Phi^T f), played through Phi and Phi^T without storing the
+N x N matrix Phi^T Phi.
 
 Both forms share one round loop that sees its matrix A only through the
 correlations A^T P and single columns of A.  A round costs one
-correlation and one column: the best response is 1-sparse, so its
-residual is one column of A, scaled, minus f.  On Phi the column is a
-lookup; in the Dantzig form it is the product Phi^T phi_i.
+correlation, one column and O(M) for the dual step: the best response is
+1-sparse, so its residual is one column of A, scaled, minus f.  On Phi
+the column is a lookup; in the Dantzig form it is the product
+Phi^T phi_i.  The Dantzig form's loss bound needs the row maxima of
+|Phi^T Phi|; a Cauchy-Schwarz screen on the column norms rules out the
+rows that cannot set it, and only the rest are read.
 """
 
 from __future__ import annotations
@@ -35,13 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import (
+    ENTROPY,
     BregmanGeometry,
     DualBall,
-    bregman_project,
-    euclidean_geometry,
-    grad_map,
-    grad_map_inverse,
-    lifted_entropy_geometry,
     simplex_to_dual,
     uniform_simplex_weights,
 )
@@ -53,7 +54,7 @@ from .results import SolverResult
 @dataclass
 class GameConfig:
     """Solver settings: round count T, residual norm exponent q in {2, inf},
-    and l1 radius tau.  The dual step size is not settable: it is
+    and finite l1 radius tau.  The dual step size is not settable: it is
     2 D / (G sqrt(T)), from the certificate's diameter D and loss bound G.
     """
 
@@ -66,8 +67,8 @@ class GameConfig:
             raise ValueError("rounds must be >= 1")
         if not (self.q == 2 or np.isinf(self.q)):
             raise ValueError(f"q must be 2 or inf, got {self.q}")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
 
 
 @dataclass
@@ -147,21 +148,48 @@ def max_update(
     geometry: BregmanGeometry,
     ball: DualBall,
 ) -> np.ndarray:
-    """One regularized ascent step of the dual player.
+    """One mirror-ascent step of the dual player, in closed form.
 
-    Moves to the unconstrained minimizer Q of the regularized loss, i.e.
-    grad R(Q) = grad R(P) + eta * residual in the native geometry, then
-    Bregman-projects Q back onto the ball.  For the p = 1 lift, `p` holds
-    the 2M + 1 weights and the residual is applied with + sign to positive
-    parts, - sign to negative parts, and 0 to the slack coordinate.
+    The step moves to the point Q with grad R(Q) = grad R(P) + eta * step
+    and projects Q back onto the ball in the geometry's Bregman sense.
+    For R = s ||P||_2^2 on the 2-ball (p = 2) this is P + eta / (2 s) *
+    residual, shrunk radially when it leaves the ball.  For R = s times
+    entropy on the p = 1 lift, `p` holds the 2M + 1 positive weights and
+    the step is w * exp(eta / s * [residual; -residual; 0]), renormalized
+    to sum to one.  The game's geometries have s = 1 and s = 2, so both
+    steps have rate eta / 2.
     """
-    residual = np.asarray(residual, dtype=np.float64)
-    if ball.p == 2:
-        step = residual
-    else:
-        step = np.concatenate([residual, -residual, [0.0]])
-    q = grad_map_inverse(geometry, grad_map(geometry, p) + eta * step)
-    return bregman_project(geometry, ball, q)
+    lifted = geometry.kind == ENTROPY
+    p, residual = np.asarray(p, dtype=np.float64), np.asarray(residual, dtype=np.float64)
+    dim = 2 * ball.dim + 1 if lifted else ball.dim
+    shapes = (p.shape, residual.shape, geometry.dim)
+    if lifted != (ball.p == 1) or shapes != ((dim,), (ball.dim,), dim):
+        raise ValueError(
+            f"P {p.shape} and residual {residual.shape} do not fit the {geometry.kind!r} "
+            f"geometry of dimension {geometry.dim} on the unit {ball.p}-ball in R^{ball.dim}"
+        )
+    if lifted and np.any(p <= 0):
+        raise ValueError("lifted weights must be strictly positive")
+    rate = eta / geometry.scale if lifted else eta / (2.0 * geometry.scale)
+    return _dual_step(p, residual, rate, lifted)
+
+
+def _dual_step(dual: np.ndarray, residual: np.ndarray, rate: float, lifted: bool) -> np.ndarray:
+    """The dual step at rate eta / 2, unchecked.
+
+    Lifted (q = inf): multiplicative weights w * exp(rate * [r; -r; 0])
+    over their sum.  In the game |r_i| <= G, so a step scales a weight
+    by at most exp(D / sqrt(T)) and nothing overflows.  A weight that
+    falls below the normal range rounds to a subnormal or to 0, too small
+    to move P; no log is taken, so no floor is needed.  Otherwise
+    (q = 2): P + rate * r, shrunk radially onto the unit 2-ball.
+    """
+    if lifted:
+        w = dual * np.exp(rate * np.concatenate((residual, -residual, [0.0])))
+        return w / np.sum(w)
+    q = dual + rate * residual
+    nrm = float(np.sqrt(q @ q))
+    return q if nrm <= 1.0 else q / nrm
 
 
 def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
@@ -230,8 +258,8 @@ def dantzig_game_solve(
     Rounds apply G = Phi^T Phi as Phi^T (Phi p) and take its column i as
     Phi^T phi_i.  The last M columns played are kept, no more memory than
     Phi itself (a solve plays about k distinct columns), so no N x N
-    matrix is stored; only the loss bound reads the entries of G, once
-    per solve, a block of columns at a time.  The certificate and
+    matrix is stored.  The loss bound reads only the rows of G that pass
+    a Cauchy-Schwarz screen (`_dantzig_bound`).  The certificate and
     residuals refer to the transformed system, i.e. the achieved residual
     is ||Phi^T Phi alpha - Phi^T f||_inf.  Raises ValueError unless Phi
     and f are finite and f has one entry per row of Phi.
@@ -250,23 +278,42 @@ def dantzig_game_solve(
         apply=gram,
         f=fg,
         n=phi.shape[1],
-        g_bound=_linf_bound(_gram_row_max(phi), fg, cfg.tau),
+        g_bound=_dantzig_bound(phi, fg, cfg.tau),
         cfg=GameConfig(rounds=cfg.rounds, q=np.inf, tau=cfg.tau),
     )
 
 
-def _gram_row_max(phi: np.ndarray) -> np.ndarray:
-    """max_j |G_ij| for G = Phi^T Phi, from products of Phi^T with blocks
-    of its columns.  Each block product covers its columns' rows of G on
-    and below the diagonal; G is symmetric, so its row maxima count for
-    the rows below too."""
-    n, block = phi.shape[1], 128
-    out = np.zeros(n)
-    for j in range(0, n, block):
-        part = np.abs(phi[:, j:].T @ phi[:, j : j + block])
-        np.maximum(out[j : j + block], np.max(part, axis=0), out=out[j : j + block])
-        np.maximum(out[j:], np.max(part, axis=1), out=out[j:])
-    return out
+def _dantzig_bound(phi: np.ndarray, fg: np.ndarray, tau: float) -> float:
+    """`_linf_bound` of the row maxima of |G| for G = Phi^T Phi, reading
+    only the rows of G that can set it.
+
+    |G_ij| <= ||phi_i|| ||phi_j||, so row i's term tau max_j |G_ij| +
+    |fg_i| is at most tau ||phi_i|| max_j ||phi_j|| + |fg_i|, while the
+    largest term is at least max_i (tau G_ii + |fg_i|).  Each side is
+    widened by a margin of (2M + 16) eps, which covers Higham's gamma_M
+    bound on the rounding of every product of M terms here and of the
+    few operations after it (the model assumes no underflow).  A row
+    whose widened bound stays below the widened floor cannot hold the
+    maximum and is skipped; the rest are read exactly, from products of
+    Phi^T with blocks of their columns.  The result equals the bound
+    from every row of G as the same products compute it.
+    """
+    m = phi.shape[0]
+    col_sq = np.einsum("ij,ij->j", phi, phi)
+    norms = np.sqrt(col_sq)
+    afg = np.abs(fg)
+    margin = (2 * m + 16) * np.finfo(np.float64).eps
+    floor = np.max(tau * col_sq + afg) * (1.0 - margin)
+    rows = np.flatnonzero((tau * norms * np.max(norms) + afg) * (1.0 + margin) >= floor)
+    # numpy hands a single column to gemv, which sums in another order
+    # than gemm does; a repeated column keeps the product on gemm
+    if rows.size == 1:
+        rows = np.repeat(rows, 2)
+    row_max = np.concatenate([
+        np.max(np.abs(phi.T @ phi[:, block]), axis=0)
+        for block in np.array_split(rows, -(-rows.size // 128))
+    ])
+    return _linf_bound(row_max, fg[rows], tau)
 
 
 def _play(correlate, column, apply, f, n, g_bound, cfg):
@@ -277,19 +324,17 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
     A round answers P with the 1-sparse play -tau sign(r_i) e_i, whose
     residual A play - f is the column lookup -tau sign(r_i) A[:, i] - f
     (equal to the dense product, which only adds exact zeros), and whose
-    loss is <P, residual>.
+    loss is <P, residual>.  The dual step is `_dual_step` at rate eta / 2,
+    the step `max_update` takes in the game's geometries.
     """
     m = f.size
     t_rounds, q, tau = cfg.rounds, cfg.q, cfg.tau
-    if np.isinf(q):
-        geometry = lifted_entropy_geometry(m)
-        ball = DualBall(1, m)
+    lifted = bool(np.isinf(q))
+    if lifted:
         diameter = float(np.sqrt(2.0 * np.log(2 * m + 1)))
         dual = uniform_simplex_weights(m)
         decode = simplex_to_dual
     else:
-        geometry = euclidean_geometry(m)
-        ball = DualBall(2, m)
         diameter = 1.0
         dual = np.zeros(m)
         decode = lambda p: p
@@ -302,6 +347,7 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
         return res, GameCertificate(0.0, diameter, 0.0, 0.0)
 
     eta = 2.0 * diameter / (g_bound * np.sqrt(t_rounds))
+    rate = eta / 2.0
 
     # integer play counts: tau times them is the running sum of the plays
     play_counts = np.zeros(n, dtype=np.int64)
@@ -315,7 +361,7 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
         else:
             residual_t = -f
         history.append(float(p_t @ residual_t))
-        dual = max_update(dual, residual_t, eta, geometry, ball)
+        dual = _dual_step(dual, residual_t, rate, lifted)
 
     # averaging may overshoot tau by a few ulps
     alpha = clip_into_l1_ball(tau * play_counts / t_rounds, tau)

@@ -248,6 +248,26 @@ class TestRunSolver:
                 assert np.sum(np.abs(res.alpha)) <= tau, name
             assert outputs(solve(phi, f, k, tau, rounds)) == outputs(res), name
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        in_phi=st.booleans(),
+        position=st.integers(0, 143),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_property_non_finite_input_raises(self, seed, m, n, in_phi, position, value):
+        rng = np.random.default_rng(seed)
+        phi, f = rng.normal(size=(m, n)), rng.normal(size=m)
+        for solve in bench._SOLVE.values():
+            solve(phi, f, 1, 1.0, 3)  # the finite instance solves
+        bad = phi if in_phi else f
+        bad.flat[position % bad.size] = value
+        for solve in bench._SOLVE.values():
+            with pytest.raises(ValueError):
+                solve(phi, f, 1, 1.0, 3)
+
     def test_unknown_solver_rejected(self):
         p = generate(ProblemSpec(n=50, m=25, k=3, seed=7))
         with pytest.raises(ValueError, match="unknown solver 'bogus'; choose from"):

@@ -3,9 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l0l1.bregman import DualBall, euclidean_geometry, lifted_entropy_geometry, simplex_to_dual, uniform_simplex_weights
+from l0l1 import game
+from l0l1.bregman import (
+    DualBall,
+    euclidean_geometry,
+    lifted_entropy_geometry,
+    simplex_to_dual,
+    uniform_simplex_weights,
+)
 from l0l1.game import (
     GameConfig,
+    _dantzig_bound,
+    _linf_bound,
     dantzig_game_solve,
     game_solve,
     holder_optimal_dual,
@@ -151,6 +160,19 @@ class TestMaxUpdate:
         out = max_update(w, np.array([1.0, -2.0]), 0.0, g, DualBall(1, m))
         np.testing.assert_allclose(out, w, atol=1e-15)
 
+    @pytest.mark.parametrize("defect", ["short residual", "pairing", "zero weight"])
+    def test_rejects_mismatched_inputs(self, defect):
+        g, ball = lifted_entropy_geometry(2), DualBall(1, 2)
+        w, r = uniform_simplex_weights(2), np.array([1.0, -2.0])
+        if defect == "short residual":
+            r = r[:1]
+        elif defect == "pairing":
+            ball = DualBall(2, 2)
+        else:
+            w = np.array([0.5, 0.0, 0.0, 0.25, 0.25])
+        with pytest.raises(ValueError):
+            max_update(w, r, 0.5, g, ball)
+
 
 class TestLossBound:
     def test_identity_zero_observation(self):
@@ -190,6 +212,46 @@ class TestLossBound:
                 for s in (1.0, -1.0)
             ]
             assert loss_bound(phi, f, tau, np.inf) == max(cands)
+
+    SCREEN_CASES = [
+        "random", "equal norms", "duplicate and negated", "zero column",
+        "zero matrix", "f zero", "tau 1e-12", "tau 1e12",
+    ]
+
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    def test_dantzig_screen_equals_exhaustive_bound(self, case):
+        # the screened bound against every row of Phi^T Phi; the full
+        # product goes through syrk, which may round an entry one ulp away
+        # from the gemm products the screen reads
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            m, n = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+            phi = rng.normal(size=(m, n)) * rng.uniform(0.2, 2.0, size=n)
+            f = rng.normal(size=m) * rng.choice([1e-3, 1.0, 1e3])
+            tau = float(rng.uniform(0.1, 5.0))
+            if case == "equal norms":
+                # every row passes the screen
+                phi /= np.linalg.norm(phi, axis=0)
+                f = np.zeros(m)
+            elif case == "duplicate and negated":
+                # Cauchy-Schwarz is tight on the longest column and its
+                # copies, and only the rounding margin keeps their rows
+                j = int(np.argmax(np.linalg.norm(phi, axis=0)))
+                phi = np.column_stack([phi, phi[:, j], -phi[:, j]])
+                if rng.uniform() < 0.5:
+                    f = np.zeros(m)
+            elif case == "zero column":
+                phi[:, rng.integers(n)] = 0.0
+            elif case == "zero matrix":
+                phi = np.zeros((m, n))
+            elif case == "f zero":
+                f = np.zeros(m)
+            elif case.startswith("tau"):
+                tau = float(case.split()[1])
+            fg = phi.T @ f
+            exhaustive = _linf_bound(np.max(np.abs(phi.T @ phi), axis=1), fg, tau)
+            screened = _dantzig_bound(phi, fg, tau)
+            assert screened == pytest.approx(exhaustive, rel=4 * np.finfo(float).eps, abs=0)
 
 
 def reference_game(phi, f, cfg):
@@ -403,6 +465,33 @@ class TestGameSolve:
             atol=1e-15,
         )
 
+    def test_long_linf_game_leaves_the_normal_range(self, monkeypatch):
+        # 2 D sqrt(T) = 838 > 709: the weight on the sign of f_1 that the
+        # plays cannot correct falls below the normal double range
+        rng = np.random.default_rng(31)
+        phi = rng.normal(size=(4, 12)) / 2.0
+        f = np.array([5.0, 0.3, -0.2, 0.1])
+        tau, t_rounds = 0.05, 40_000
+        smallest = [1.0]
+        step = game._dual_step
+
+        def checked_step(dual, residual, rate, lifted):
+            w = step(dual, residual, rate, lifted)
+            assert np.all(np.isfinite(w)) and np.all(w >= 0)
+            assert abs(np.sum(w) - 1.0) <= 1e-12
+            smallest[0] = min(smallest[0], float(np.min(w)))
+            return w
+
+        monkeypatch.setattr(game, "_dual_step", checked_step)
+        res, cert = game_solve(phi, f, GameConfig(rounds=t_rounds, q=np.inf, tau=tau))
+        assert 2 * cert.diameter * np.sqrt(t_rounds) > 709
+        assert smallest[0] < np.finfo(float).tiny
+        assert np.count_nonzero(res.alpha) <= t_rounds
+        assert np.abs(res.alpha).sum() <= tau
+        lasso = lasso_pg_solve(phi, f, tau, tol=1e-10, max_iter=20000)
+        opt_inf = lp_norm(phi @ lasso.alpha - f, np.inf)
+        assert res.residual_q <= opt_inf + cert.regret_bound + 1e-6
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GameConfig(rounds=0)
@@ -410,3 +499,5 @@ class TestGameSolve:
             GameConfig(rounds=5, q=3)
         with pytest.raises(ValueError):
             GameConfig(rounds=5, tau=0.0)
+        with pytest.raises(ValueError):
+            GameConfig(rounds=5, tau=np.inf)
