@@ -3,9 +3,10 @@
 The package solves  minimize ||Phi a - f||_q  over  ||a||_0 <= k,
 ||a||_1 <= tau  with a primal-dual game solver (`game_solve`,
 `dantzig_game_solve`), hard-thresholding pursuits (`sp_solve`,
-`clash_solve`, `iht_solve`), and a projected-gradient Lasso baseline
-(`lasso_pg_solve`), plus seeded synthetic problem generation (`synth`)
-and a reproducible benchmark harness with a CLI (`bench`).
+`clash_solve`, `iht_solve`), and an accelerated projected-gradient
+Lasso baseline (`lasso_pg_solve`), plus seeded synthetic problem
+generation (`synth`) and a reproducible benchmark harness with a CLI
+(`bench`).
 """
 
 __version__ = "0.1.0"

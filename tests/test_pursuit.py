@@ -482,6 +482,58 @@ class TestLassoPG:
         res = lasso_pg_solve(p.phi, p.f, tau)
         assert np.abs(res.alpha).sum() <= tau + 1e-8
 
+    def test_uniform_start_in_null_space(self):
+        # the uniform power-iteration start lies in the null space of
+        # [1, -1]; the estimate must still be the eigenvalue 2
+        phi = np.array([[1.0, -1.0]])
+        assert pursuit._power_iter_cols(phi) == pytest.approx(2.0)
+        res = lasso_pg_solve(phi, np.array([1.0]), 1.0)
+        assert res.termination != "degenerate"
+        np.testing.assert_allclose(res.alpha, [0.5, -0.5], atol=1e-10)
+        assert res.residual_l2 <= 1e-10
+
+    def test_power_iteration_unchanged_when_uniform_start_works(self):
+        phi, _, _ = gaussian_case(11, m=30, n=70)
+        v = np.full(70, 1.0 / np.sqrt(70))
+        assert pursuit._power_iter_cols(phi) == pursuit._power_iter(phi, v, 20, 1e-6)
+
+    @pytest.mark.parametrize(
+        "settings", [{"tol": np.nan}, {"tol": -1e-8}, {"max_iter": 0}, {"max_iter": -3}]
+    )
+    def test_bad_settings_rejected(self, settings):
+        phi, f, _ = gaussian_case(7, m=12, n=30)
+        with pytest.raises(ValueError):
+            lasso_pg_solve(phi, f, 1.0, **settings)
+
+    def test_default_settings_stop_before_the_cap_at_bench_size(self):
+        p = desk_instance(derive_seed(900, 0), n=1000, m=305, k=115, sigma=1e-3)
+        res = lasso_pg_solve(p.phi, p.f, p.tau_star)
+        assert res.termination in ("converged", "stalled")
+        assert res.iterations < 2000
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_objective_matches_exact_minimizer(self, case):
+        # M > N and M < N, tau below and above the l1 norm of the
+        # least-squares fit (the minimum-norm fit when M < N).  With M < N
+        # and fractions from 0.8 up, tau admits an exact fit; the minimum
+        # is then 0, met up to the absolute rounding term.
+        m, n = [(40, 25), (20, 50)][case % 2]
+        frac = [0.3, 0.8, 1.5, 3.0, 0.05][case // 2]
+        phi, f, _ = gaussian_case(derive_seed(800, case), m, n)
+        tau = frac * np.sum(np.abs(np.linalg.lstsq(phi, f, rcond=None)[0]))
+        exact = _l1_restricted_lsq(phi, f, np.arange(n), tau, None)
+        res = lasso_pg_solve(phi, f, tau)
+        assert res.termination != "max-iterations"
+        assert np.sum(np.abs(res.alpha)) <= tau
+        best = lsq_objective(phi, f, exact)
+        assert lsq_objective(phi, f, res.alpha) <= best * (1 + 1e-9) + 1e-14 * (f @ f)
+
+    def test_rerun_is_bit_identical(self):
+        p = desk_instance(14, sigma=0.01)
+        a = lasso_pg_solve(p.phi, p.f, 0.8 * p.tau_star)
+        b = lasso_pg_solve(p.phi, p.f, 0.8 * p.tau_star)
+        assert differing_fields(a, b) == []
+
 
 class TestIht:
     def test_identity_one_step(self):
