@@ -170,105 +170,50 @@ def _l1_restricted_lsq(
 _BLOCK = 64
 
 
-class _ActiveSet:
-    """An ordered active set A of columns of a Gram matrix G, with a sign
-    and a value per index and G_AA^{-1}, in buffers sized for `cap`
-    indices.  Single pivots enter an index at the end, a rank-one change
-    of G_AA^{-1} made in place in O(|A|^2); block pivots append several
-    (`extend`) in one blocked update.  Both remove indices with `leave`.
+def _border(gram: np.ndarray, idx: np.ndarray, hinv: np.ndarray) -> np.ndarray | None:
+    """G_AA^{-1} for the ordered indices A = `idx` of the Gram matrix G,
+    given `hinv`, the inverse for the leading hinv.shape[0] of them (empty
+    to form it from scratch).  The other indices are bordered in `_BLOCK`
+    at a time: with H the inverse so far and c = H G_Aj, the Schur
+    complement G_jj - G_Aj^T c is the square of the Cholesky pivot that
+    column j adds.  None if a column lies numerically in the span of the
+    ones before it: its pivot squared is at most sqrt(eps) G_jj.
     """
+    n, m, eps = idx.size, hinv.shape[0], np.finfo(np.float64).eps
+    h = np.empty((n, n))
+    h[:m, :m] = hinv
+    for p in range(m, n, _BLOCK):
+        q = min(p + _BLOCK, n)
+        old, new = idx[:p], idx[p:q]
+        cross = gram[np.ix_(old, new)]
+        c = h[:p, :p] @ cross
+        schur = gram[np.ix_(new, new)] - cross.T @ c
+        try:
+            pivots = np.diag(np.linalg.cholesky(schur)) ** 2
+        except np.linalg.LinAlgError:
+            return None
+        if np.any(pivots <= np.sqrt(eps) * np.diag(gram)[new]):
+            return None
+        s_inv = np.linalg.inv(schur)
+        cs = c @ s_inv
+        h[:p, :p] += cs @ c.T
+        h[:p, p:q] = -cs
+        h[p:q, :p] = -cs.T
+        h[p:q, p:q] = s_inv
+    return h
 
-    def __init__(self, gram: np.ndarray, cap: int):
-        self.gram = gram
-        self.size = 0
-        self.idx = np.empty(cap, dtype=np.intp)
-        self.sgn = np.empty(cap)
-        self.x = np.empty(cap)
-        self._hinv = np.empty((cap, cap))
 
-    @property
-    def hinv(self) -> np.ndarray:
-        return self._hinv[: self.size, : self.size]
-
-    def coupling(self, j: int) -> tuple[np.ndarray, float]:
-        """c = G_AA^{-1} G_Aj and the Schur complement G_jj - G_Aj^T c, the
-        square of the Cholesky pivot that column j would add."""
-        col = self.gram[self.idx[: self.size], j]
-        c = self.hinv @ col
-        return c, float(self.gram[j, j] - col @ c)
-
-    def independent(self, j: int, schur: float) -> bool:
-        """Whether column j is numerically outside the span of A's."""
-        return schur > np.sqrt(np.finfo(np.float64).eps) * self.gram[j, j]
-
-    def enter(self, j: int, sj: float, xj: float, c: np.ndarray, schur: float) -> None:
-        p = self.size
-        h = self._hinv
-        h[:p, :p] += np.outer(c, c / schur)
-        h[:p, p] = h[p, :p] = -c / schur
-        h[p, p] = 1.0 / schur
-        self.idx[p], self.sgn[p], self.x[p] = j, sj, xj
-        self.size = p + 1
-
-    def rebuild(self) -> bool:
-        """Form G_AA^{-1} again from scratch, bordering in `_BLOCK` indices
-        at a time; False if a column lies numerically in the span of the
-        ones before it (its Cholesky pivot squared is at most
-        sqrt(eps) G_jj, as in `independent`)."""
-        n, self.size = self.size, 0
-        return self._border_to(n)
-
-    def extend(self, idx: np.ndarray, sgn: np.ndarray) -> bool:
-        """Append indices with their signs, bordering G_AA^{-1} in blocks
-        as `rebuild` does, with the same False on a dependent column."""
-        p, q = self.size, self.size + idx.size
-        self.idx[p:q], self.sgn[p:q] = idx, sgn
-        return self._border_to(q)
-
-    def _border_to(self, n: int) -> bool:
-        """Border G_AA^{-1} with the indices at positions size..n-1,
-        `_BLOCK` at a time; on a dependent column, False with the size at
-        the blocks bordered so far."""
-        gram, h = self.gram, self._hinv
-        eps = np.finfo(np.float64).eps
-        for p in range(self.size, n, _BLOCK):
-            q = min(p + _BLOCK, n)
-            old, new = self.idx[:p], self.idx[p:q]
-            cross = gram[np.ix_(old, new)]
-            c = h[:p, :p] @ cross
-            schur = gram[np.ix_(new, new)] - cross.T @ c
-            try:
-                pivots = np.diag(np.linalg.cholesky(schur)) ** 2
-            except np.linalg.LinAlgError:
-                return False
-            if np.any(pivots <= np.sqrt(eps) * np.diag(gram)[new]):
-                return False
-            s_inv = np.linalg.inv(schur)
-            cs = c @ s_inv
-            h[:p, :p] += cs @ c.T
-            h[:p, p:q] = -cs
-            h[p:q, :p] = -cs.T
-            h[p:q, p:q] = s_inv
-            self.size = q
-        return True
-
-    def leave(self, out: np.ndarray | list[int]) -> None:
-        """Remove the indices at positions `out` at once, the rest keeping
-        their order: G_KK^{-1} = H_KK - H_KO H_OO^{-1} H_OK with H the
-        current G_AA^{-1}, in O(|A|^2 |out|)."""
-        keep = np.ones(self.size, dtype=bool)
-        keep[out] = False
-        keep = np.nonzero(keep)[0]
-        h = self.hinv
-        h_ko = h[np.ix_(keep, out)]
-        new = h[np.ix_(keep, keep)] - h_ko @ np.linalg.solve(
-            h[np.ix_(out, out)], h[np.ix_(out, keep)]
-        )
-        q = keep.size
-        self._hinv[:q, :q] = new
-        for arr in (self.idx, self.sgn, self.x):
-            arr[:q] = arr[keep]
-        self.size = q
+def _remove(
+    hinv: np.ndarray, out: np.ndarray | list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions kept, in order, when those in `out` leave the active
+    set, and their inverse G_KK^{-1} = H_KK - H_KO H_OO^{-1} H_OK with
+    H = `hinv` = G_AA^{-1}, in O(|A|^2 |out|)."""
+    keep = np.delete(np.arange(hinv.shape[0]), out)
+    h_ko = hinv[np.ix_(keep, out)]
+    return keep, hinv[np.ix_(keep, keep)] - h_ko @ np.linalg.solve(
+        hinv[np.ix_(out, out)], hinv[np.ix_(out, keep)]
+    )
 
 
 def _first_zero(xa: np.ndarray, sgn: np.ndarray, d: np.ndarray) -> tuple[float, int]:
@@ -311,16 +256,15 @@ def _block_pivots(
     and the conditions are checked again before x is returned.
     """
     size, g_max = b.size, np.max(np.diag(gram))
-    state = _ActiveSet(gram, min(size, rows))
-    warm = np.nonzero(start)[0]
-    if warm.size <= rows and not state.extend(warm, np.sign(start[warm])):
-        state.size = 0
+    act = np.nonzero(start)[0]
+    sgn = np.sign(start[act])
+    hinv = _border(gram, act, np.empty((0, 0))) if act.size <= rows else None
+    if hinv is None:
+        act, sgn, hinv = act[:0], sgn[:0], np.empty((0, 0))
     fresh, fewest, backup = True, size + 1, _BACKUP
     while True:
-        p = state.size
-        act, sgn, hinv = state.idx[:p], state.sgn[:p], state.hinv
         u, v = hinv @ b[act], hinv @ sgn
-        curve = float(sgn @ v) if p else 1.0
+        curve = float(sgn @ v) if act.size else 1.0
         if not curve > 0.0:
             # s^T G_AA^{-1} s > 0 while G_AA^{-1} stays positive definite
             return None
@@ -336,7 +280,8 @@ def _block_pivots(
         if enter.size == 0 and leave.size == 0:
             if fresh:
                 return x
-            if not state.rebuild():
+            hinv = _border(gram, act, np.empty((0, 0)))
+            if hinv is None:
                 return None
             fresh = True
             continue
@@ -347,11 +292,15 @@ def _block_pivots(
         else:
             return None
         if leave.size:
-            state.leave(leave)
-        if state.size + enter.size > rows:
+            keep, hinv = _remove(hinv, leave)
+            act, sgn = act[keep], sgn[keep]
+        if act.size + enter.size > rows:
             return None
-        if not state.extend(enter, np.sign(g[enter])):
+        grown = np.append(act, enter)
+        hinv = _border(gram, grown, hinv)
+        if hinv is None:
             return None
+        act, sgn = grown, np.append(sgn, np.sign(g[enter]))
         fresh = False
 
 
@@ -380,15 +329,17 @@ def _l1_active_set(
     it is traded in at constant residual instead, which lowers ||x||_1,
     until a coordinate of A reaches zero and leaves.  An index whose
     entry is undone by the very next step entered on rounding noise and
-    may not enter again.  Pivots update G_AA^{-1} in O(|A|^2) (see
-    `_ActiveSet`).  When no pivot applies, G_AA^{-1} is formed again from
-    scratch and the conditions are checked again before x is returned.
+    may not enter again.  Pivots update G_AA^{-1} in O(|A|^2) with the
+    same two functions as the block pivots: `_border` for an entry, which
+    also refuses a dependent column, and `_remove` for a leave.  When no
+    pivot applies, G_AA^{-1} is formed again from scratch and the
+    conditions are checked again before x is returned.
 
     Both methods start from the signs of `start`, the single pivots with
     `start` scaled onto the sphere, or from x = 0 if `start` is zero or
     its Gram block is singular, as it is with more nonzeros than `rows`.
-    Raises RuntimeError if the single pivots run out or their final
-    active set is singular.
+    Raises RuntimeError if the single pivots run out, or if their final
+    active set, or the one a trade enters, is singular.
     """
     size = b.size
     eps = np.finfo(np.float64).eps
@@ -400,29 +351,32 @@ def _l1_active_set(
     x = _block_pivots(gram, b, tau, start, rows, slack)
     if x is not None:
         return x
-    state = _ActiveSet(gram, min(size, rows))
-    warm = np.nonzero(start)[0]
-    if 0 < warm.size <= rows:
-        state.size = warm.size
-        state.idx[: warm.size] = warm
-        state.x[: warm.size] = start[warm] * (tau / np.sum(np.abs(start[warm])))
-        state.sgn[: warm.size] = np.sign(state.x[: warm.size])
-        if not state.rebuild():
-            state.size = 0
-    held = state.size > 0
+    act = np.nonzero(start)[0]
+    hinv = _border(gram, act, np.empty((0, 0))) if act.size <= rows else None
+    if hinv is None:
+        act, hinv = act[:0], np.empty((0, 0))
+    xa = start[act] * (tau / np.sum(np.abs(start[act]))) if act.size else np.zeros(0)
+    sgn = np.sign(xa)
+    held = act.size > 0
     fresh, entered = True, False
     barred = np.zeros(size, dtype=bool)
     for _ in range(20 * size + 50):
-        p = state.size
+        if hinv is None:
+            # `_border` refused a column that had to enter: from x = 0, in
+            # a trade, or in the re-check from scratch
+            raise RuntimeError(
+                f"l1-constrained least squares: singular active set of {act.size}"
+            )
+        p = act.size
         if p == 0:
             # x = 0 lies inside the ball: enter along the steepest coordinate
             j = int(np.argmax(np.abs(b)))
             if abs(b[j]) <= slack:
                 return np.zeros(size)
-            state.enter(j, np.sign(b[j]), 0.0, np.zeros(0), gram[j, j])
+            act, sgn, xa = np.array([j]), np.sign(b[[j]]), np.zeros(1)
+            hinv = _border(gram, act, hinv)
             held, fresh = False, False
             continue
-        act, sgn, xa, hinv = state.idx[:p], state.sgn[:p], state.x[:p], state.hinv
         u = hinv @ b[act]
         if held:
             v = hinv @ sgn
@@ -447,15 +401,15 @@ def _l1_active_set(
         if not held:
             rise = float(sgn @ d)
             if rise > 0.0 and float(sgn @ xa) + step * rise > tau:
-                xa += max((tau - float(sgn @ xa)) / rise, 0.0) * d
+                xa = xa + max((tau - float(sgn @ xa)) / rise, 0.0) * d
                 held, fresh = True, False
                 continue
         if drop >= 0:
-            xa += step * d
-            state.leave([drop])
+            keep, hinv = _remove(hinv, [drop])
+            act, sgn, xa = act[keep], sgn[keep], (xa + step * d)[keep]
             fresh = False
             continue
-        xa[:] = z
+        xa = z
         if held and release:
             held, fresh = False, False
             continue
@@ -469,29 +423,30 @@ def _l1_active_set(
         j = int(np.argmax(excess))
         if excess[j] > tol + 1e-10 * max(lam, 0.0):
             sj = np.sign(g[j])
-            c, schur = state.coupling(j)
-            if p < rows and state.independent(j, schur):
-                state.enter(j, sj, 0.0, c, schur)
+            grown = _border(gram, np.append(act, j), hinv) if p < rows else None
+            if grown is not None:
+                act, sgn, xa, hinv = (
+                    np.append(act, j), np.append(sgn, sj), np.append(xa, 0.0), grown
+                )
                 fresh, entered = False, True
                 continue
-            trade = -sj * c
+            trade = -sj * (hinv @ gram[act, j])
             if sgn @ trade < -1.0:
-                # x_j = t s_j and x_A - t s_j c leave the residual as it
-                # is while ||x||_1 falls, until a coordinate of A is zero
+                # x_j = t s_j and x_A - t s_j c, c = G_AA^{-1} G_Aj, leave the
+                # residual as it is while ||x||_1 falls, until a coordinate
+                # of A is zero; it leaves and j enters in its place
                 t, i = _first_zero(xa, sgn, trade)
-                xa += t * trade
-                state.leave([i])
-                c, schur = state.coupling(j)
-                state.enter(j, sj, t * sj, c, schur)
+                keep, hinv = _remove(hinv, [i])
+                act = np.append(act[keep], j)
+                sgn = np.append(sgn[keep], sj)
+                xa = np.append((xa + t * trade)[keep], t * sj)
+                hinv = _border(gram, act, hinv)
                 held, fresh = False, False
                 continue
         if fresh:
             return x
         fresh = True
-        if not state.rebuild():
-            raise RuntimeError(
-                f"l1-constrained least squares: singular active set of {p}"
-            )
+        hinv = _border(gram, act, np.empty((0, 0)))
     raise RuntimeError(
         f"l1-constrained least squares: no optimum after {20 * size + 50} pivots"
     )

@@ -297,6 +297,36 @@ class TestL1RestrictedLsq:
         ours = lsq_objective(phi_s, f, out[support])
         assert ours <= lsq_objective(phi_s, f, ref) * (1 + 1e-10) + 1e-12 * (f @ f)
 
+    def test_singular_warm_start(self):
+        # columns 3 and 7 are equal: the block pivots give up once both
+        # enter, and the single pivots refuse the warm start on both and
+        # start from zero
+        phi, f, _ = gaussian_case(2, m=30, n=12)
+        phi[:, 7] = phi[:, 3]
+        warm = np.zeros(12)
+        warm[[3, 7]] = [1.0, -0.5]
+        out = _l1_restricted_lsq(phi, f, np.arange(12), 1.5, warm)
+        assert np.sum(np.abs(out)) <= 1.5
+        assert_kkt(phi, f, out, 1.5, abs_tol=1e-9 * np.max(np.abs(phi.T @ f)))
+        ref = lasso_pg_solve(phi, f, 1.5, tol=1e-12).alpha
+        assert lsq_objective(phi, f, out) <= lsq_objective(phi, f, ref) * (1 + 1e-10)
+
+    @pytest.mark.parametrize("seed, m, n", [(2063, 6, 14), (1063, 18, 39)])
+    def test_noiseless_wide_at_the_true_budget(self, seed, m, n):
+        # the minimizer interpolates f, so g is rounding noise and an index
+        # can enter on it; the single pivots bar an index whose entry the
+        # next step undoes.  Both instances reach that branch with the
+        # rounding of OpenBLAS 0.3 on x86-64; other rounding may not.
+        phi, f, truth = gaussian_case(seed, m, n, sigma=0.0)
+        tau = np.sum(np.abs(truth))
+        out = _l1_restricted_lsq(phi, f, np.arange(n), tau, None)
+        assert np.sum(np.abs(out)) <= tau
+        scale = np.max(np.abs(phi.T @ f))
+        assert_kkt(phi, f, out, tau, abs_tol=rounding_level(phi, out) * scale)
+        ref = lasso_pg_solve(phi, f, tau, tol=1e-12).alpha
+        ours = lsq_objective(phi, f, out)
+        assert ours <= lsq_objective(phi, f, ref) * (1 + 1e-10) + 1e-12 * (f @ f)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -392,19 +422,19 @@ class TestBlockPivots:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_from_zero_solve_enters_few_single_indices(self, monkeypatch, seed):
-        entries = []
-        enter = pursuit._ActiveSet.enter
+        # the block pivots answer, so no index enters on its own; pivoting
+        # one index at a time from zero, every nonzero would
+        answers = []
+        block_pivots = pursuit._block_pivots
 
-        def counting(self, *args):
-            entries.append(args)
-            return enter(self, *args)
+        def recording(*args):
+            answers.append(block_pivots(*args))
+            return answers[-1]
 
-        monkeypatch.setattr(pursuit._ActiveSet, "enter", counting)
+        monkeypatch.setattr(pursuit, "_block_pivots", recording)
         p, support, tau = self.from_zero_case(derive_seed(808, seed))
         out = _l1_restricted_lsq(p.phi, p.f, support, tau, None)
-        # pivoting one index at a time from zero, every nonzero of the
-        # answer enters on its own
-        assert len(entries) < np.count_nonzero(out) / 2
+        assert len(answers) == 1 and answers[0] is not None
         assert_kkt(p.phi[:, support], p.f, out[support], tau,
                    abs_tol=1e-9 * np.max(np.abs(p.phi[:, support].T @ p.f)))
 
@@ -419,6 +449,17 @@ class TestBlockPivots:
         single = [_l1_restricted_lsq(p.phi, p.f, support, tau, w) for w in (None, warm)]
         for a, b in zip(blocked, single):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.max(np.abs(b)))
+
+    def test_single_pivots_return_zero_without_correlation(self, monkeypatch):
+        # f is orthogonal to every column: b = Phi_S^T f is rounding noise,
+        # about 6e-15 here, within the slack of 4e-14 at tau = 10, and
+        # x = 0 is the answer
+        phi, _, _ = gaussian_case(3, m=30, n=12)
+        r = np.random.default_rng(3).normal(size=30)
+        f = r - phi @ np.linalg.lstsq(phi, r, rcond=None)[0]
+        monkeypatch.setattr(pursuit, "_block_pivots", lambda *args: None)
+        out = _l1_restricted_lsq(phi, f, np.arange(12), 10.0, None)
+        assert np.array_equal(out, np.zeros(12))
 
 
 class TestInputChecks:
