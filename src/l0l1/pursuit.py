@@ -328,8 +328,9 @@ def _l1_active_set(
     lies in the span of A's columns, as it must once |A| reaches `rows`,
     it is traded in at constant residual instead, which lowers ||x||_1,
     until a coordinate of A reaches zero and leaves.  An index whose
-    entry is undone by the very next step entered on rounding noise and
-    may not enter again.  Pivots update G_AA^{-1} in O(|A|^2) with the
+    entry is undone by the very next step, or that the first step after a
+    check from scratch (below) drops, entered on rounding noise and may
+    not enter again.  Pivots update G_AA^{-1} in O(|A|^2) with the
     same two functions as the block pivots: `_border` for an entry, which
     also refuses a dependent column, and `_remove` for a leave.  When no
     pivot applies, G_AA^{-1} is formed again from scratch and the
@@ -358,7 +359,7 @@ def _l1_active_set(
     xa = start[act] * (tau / np.sum(np.abs(start[act]))) if act.size else np.zeros(0)
     sgn = np.sign(xa)
     held = act.size > 0
-    fresh, entered = True, False
+    fresh, entered = False, False
     barred = np.zeros(size, dtype=bool)
     for _ in range(20 * size + 50):
         if hinv is None:
@@ -384,7 +385,7 @@ def _l1_active_set(
             z = u - lam * v
             # lam < 0: u lies inside the ball, and the step from the face
             # minimizer z toward it does not meet the sphere
-            release = sgn @ u < sgn @ z
+            release = lam < 0.0
         else:
             lam, z = 0.0, u
         d = z - xa
@@ -405,6 +406,11 @@ def _l1_active_set(
                 held, fresh = True, False
                 continue
         if drop >= 0:
+            if fresh:
+                # the first step on the inverse formed again from scratch
+                # drops a coordinate that the pivots' own inverse kept: it
+                # entered on rounding noise, and may not enter again
+                barred[act[drop]] = True
             keep, hinv = _remove(hinv, [drop])
             act, sgn, xa = act[keep], sgn[keep], (xa + step * d)[keep]
             fresh = False
@@ -453,11 +459,7 @@ def _l1_active_set(
 
 
 def sp_solve(
-    phi: np.ndarray,
-    f: np.ndarray,
-    cfg: PursuitConfig,
-    alpha_true: np.ndarray | None = None,
-    keep_iterates: bool = False,
+    phi: np.ndarray, f: np.ndarray, cfg: PursuitConfig
 ) -> tuple[SolverResult, IterateTrace]:
     """Subspace pursuit (Dai & Milenkovic 2009): `clash_solve` at
     tau = inf, whatever `cfg.tau` is.
@@ -465,11 +467,13 @@ def sp_solve(
     One run of the loop from alpha = 0: union the support with the top-k
     residual correlations, least squares on the union, prune to k,
     refit.  The first iteration is the least-squares fit on the top-k
-    correlations of Phi^T f, and it counts in `iterations` and is trace
-    entry 0.  Stops when the residual norm stops decreasing, when the
-    relative iterate change is at most 1e-6, or after 100 iterations.
+    correlations of Phi^T f, and it counts in `iterations` and is entry 0
+    of the history and the trace.  Stops when the residual norm stops
+    decreasing, when the relative iterate change is at most 1e-6, or
+    after 100 iterations.  The trace holds the support, the step length
+    and a copy of every iterate of the run.
     """
-    return _pursue(phi, f, cfg.sparsity, np.inf, alpha_true, keep_iterates)
+    return _pursue(phi, f, cfg.sparsity, np.inf)
 
 
 def _clash_loop(
@@ -478,29 +482,29 @@ def _clash_loop(
     k: int,
     tau: float,
     alpha0: np.ndarray,
-    trace: IterateTrace | None,
     momentum: bool = False,
     memo: dict | None = None,
-) -> SolverResult:
+) -> tuple[SolverResult, IterateTrace]:
     """The four-step iteration at a fixed budget (k, tau), from alpha0.
 
-    Returns the last iterate with its residual norm ||f - Phi alpha||_2,
-    the trace's residual norms as history (none without a trace), the
-    iteration count and the termination reason.
+    Returns the result and the trace of the run.  The result holds the
+    last iterate with its residual norm ||f - Phi alpha||_2, the residual
+    norm of every iterate as history, the iteration count and the
+    termination reason; the trace holds every iterate with its support
+    and its distance from the one before.
 
     With `momentum` the expansion gradient is taken at an extrapolation of
     the last two iterates instead of the current one; the descent,
     selection, and de-bias steps are unchanged, so iterate feasibility and
     the <= 2k extended-support bound still hold.  The expansion ranks the
     residual correlations Phi^T (f - Phi alpha), the negative gradient, off
-    the support.  When `trace` is None the loop runs silently (warm-up
-    stage).
+    the support.
 
     With tau = inf the inner solves are plain restricted least squares and
     the loop is subspace pursuit, stop rule included: an iterate whose
     residual norm exceeds the previous one's is dropped and the loop ends
     with "residual stopped decreasing".  Phi alpha is formed once per
-    iterate, for the stop rule, the trace and the next expansion.
+    iterate, for the stop rule, the history and the next expansion.
 
     The de-bias is skipped when pruning keeps every nonzero of the step-2
     minimizer v: v minimizes over the extended support, so also over the
@@ -534,6 +538,8 @@ def _clash_loop(
     support = np.nonzero(alpha)[0]
     residual = f - phi @ alpha
     res_norm = float(np.sqrt(residual @ residual))
+    history: list[float] = []
+    trace = IterateTrace()
     termination = "max-iterations"
     for it in range(_MAX_ITERATIONS):
         if momentum and it > 0:
@@ -563,21 +569,16 @@ def _clash_loop(
         alpha_prev = alpha
         alpha, support = alpha_new, np.nonzero(alpha_new)[0]
         residual, res_norm = residual_new, res_norm_new
-        if trace is not None:
-            trace.record(support, res_norm, delta, alpha)
+        history.append(res_norm)
+        trace.record(support, delta, alpha)
         if delta <= _TOLERANCE * max(float(np.sqrt(alpha @ alpha)), 1e-12):
             termination = "converged"
             break
-    history = [] if trace is None else list(trace.residual_norms)
-    return SolverResult(alpha, res_norm, res_norm, history, it + 1, termination)
+    return SolverResult(alpha, res_norm, res_norm, history, it + 1, termination), trace
 
 
 def clash_solve(
-    phi: np.ndarray,
-    f: np.ndarray,
-    cfg: PursuitConfig,
-    alpha_true: np.ndarray | None = None,
-    keep_iterates: bool = False,
+    phi: np.ndarray, f: np.ndarray, cfg: PursuitConfig
 ) -> tuple[SolverResult, IterateTrace]:
     """Joint sparsity-and-norm pursuit.
 
@@ -611,19 +612,15 @@ def clash_solve(
     reaches a numerically exact fit, or once three consecutive members
     fail to improve the best residual meaningfully (the plateau signals a
     noise floor rather than a recovery problem).  The smallest final residual
-    wins, ties keeping the earliest run; the reported trace and iteration
-    count are the winning full-budget run's.
+    wins, ties keeping the earliest run; the reported history, trace and
+    iteration count are the winning full-budget run's, and the trace holds
+    every iterate of that run.
     """
-    return _pursue(phi, f, cfg.sparsity, cfg.tau, alpha_true, keep_iterates)
+    return _pursue(phi, f, cfg.sparsity, cfg.tau)
 
 
 def _pursue(
-    phi: np.ndarray,
-    f: np.ndarray,
-    k: int,
-    tau: float,
-    alpha_true: np.ndarray | None,
-    keep_iterates: bool,
+    phi: np.ndarray, f: np.ndarray, k: int, tau: float
 ) -> tuple[SolverResult, IterateTrace]:
     """The body of `clash_solve` and `sp_solve`: the portfolio when tau is
     finite, one cold start from alpha = 0 when it is not."""
@@ -640,18 +637,15 @@ def _pursue(
         for fraction in schedule:
             stage_tau = fraction * tau
             alpha = l1_project(alpha, stage_tau)
-            alpha = _clash_loop(phi, f, k, stage_tau, alpha, None, momentum, memo).alpha
-        trace = IterateTrace(alpha_true, keep_iterates)
-        result = _clash_loop(
-            phi, f, k, tau, l1_project(alpha, tau), trace, momentum, memo
-        )
-        res_norm = result.residual_l2
+            alpha = _clash_loop(phi, f, k, stage_tau, alpha, momentum, memo)[0].alpha
+        run = _clash_loop(phi, f, k, tau, l1_project(alpha, tau), momentum, memo)
+        res_norm = run[0].residual_l2
         if best is None or res_norm < best[0].residual_l2 * (1.0 - 5e-3):
             stalls = 0
         else:
             stalls += 1
         if best is None or res_norm < best[0].residual_l2:
-            best = (result, trace)
+            best = run
         if best[0].residual_l2 <= exact_fit or stalls >= 3:
             break
     return best
@@ -769,13 +763,18 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
 
 
 def contraction_check(
-    trace: IterateTrace, rho_bound: float, c1: float, noise_norm: float
+    trace: IterateTrace,
+    alpha_true: np.ndarray,
+    rho_bound: float,
+    c1: float,
+    noise_norm: float,
 ) -> ContractionReport:
-    """Check the empirical envelope e_{i+1} <= rho * e_i + c1 * ||n||_2 on a
-    trace that recorded ground-truth distances."""
-    if trace.truth_distances is None or len(trace.truth_distances) < 2:
-        raise ValueError("trace has no ground-truth distances to check")
-    e = trace.truth_distances
+    """Check the empirical envelope e_{i+1} <= rho * e_i + c1 * ||n||_2,
+    with e_i = ||alpha_i - alpha_true||_2 over the iterates of `trace`.
+    Raises ValueError if the trace has fewer than two iterates."""
+    if len(trace.iterates) < 2:
+        raise ValueError("trace has fewer than two iterates to check")
+    e = [float(np.sqrt(np.sum((it - alpha_true) ** 2))) for it in trace.iterates]
     noise_term = c1 * noise_norm
     violations = [
         (i, e[i + 1], rho_bound * e[i] + noise_term)

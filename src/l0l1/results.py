@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,32 +22,15 @@ class SolverResult:
 
 @dataclass
 class IterateTrace:
-    """Per-iteration bookkeeping of a pursuit run.
+    """Per-iteration record of a pursuit run: each iterate's support, its
+    2-norm distance from the iterate before it, and a copy of the iterate.
+    The residual norms are the run's `SolverResult.history`."""
 
-    Built with the ground truth vector `alpha_true`, `truth_distances`
-    holds each iterate's 2-norm distance to it, as `contraction_check`
-    requires; otherwise it is None.  Built with `keep_iterates`,
-    `iterates` holds a copy of each iterate; otherwise it is None.
-    """
-
-    alpha_true: InitVar[np.ndarray | None] = None
-    keep_iterates: InitVar[bool] = False
     supports: list[np.ndarray] = field(default_factory=list)
-    residual_norms: list[float] = field(default_factory=list)
     iterate_deltas: list[float] = field(default_factory=list)
-    truth_distances: list[float] | None = field(default=None, init=False)
-    iterates: list[np.ndarray] | None = field(default=None, init=False)
+    iterates: list[np.ndarray] = field(default_factory=list)
 
-    def __post_init__(self, alpha_true, keep_iterates):
-        self._truth = alpha_true
-        self.truth_distances = None if alpha_true is None else []
-        self.iterates = [] if keep_iterates else None
-
-    def record(self, support, residual_norm, delta, iterate):
+    def record(self, support, delta, iterate):
         self.supports.append(np.asarray(support, dtype=np.int64))
-        self.residual_norms.append(float(residual_norm))
         self.iterate_deltas.append(float(delta))
-        if self.truth_distances is not None:
-            self.truth_distances.append(float(np.sqrt(np.sum((iterate - self._truth) ** 2))))
-        if self.iterates is not None:
-            self.iterates.append(np.array(iterate, dtype=np.float64))
+        self.iterates.append(np.array(iterate, dtype=np.float64))

@@ -321,11 +321,9 @@ def test_criterion_10_clash_sp_equivalence_at_infinite_tau():
         p = generate(
             ProblemSpec(n=250, m=80, k=15, sigma=0.01 if i % 2 else 0.0, seed=seed)
         )
-        sp_res, sp_trace = sp_solve(
-            p.phi, p.f, PursuitConfig(sparsity=15), keep_iterates=True
-        )
+        sp_res, sp_trace = sp_solve(p.phi, p.f, PursuitConfig(sparsity=15))
         clash_res, clash_trace = clash_solve(
-            p.phi, p.f, PursuitConfig(sparsity=15, tau=np.inf), keep_iterates=True
+            p.phi, p.f, PursuitConfig(sparsity=15, tau=np.inf)
         )
         differ = [
             f_.name
