@@ -70,26 +70,42 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
+def independent(schur: np.ndarray, gram_diag: np.ndarray) -> bool:
+    """Whether columns added to a Gram matrix G are numerically independent
+    of each other and of the ones before them, given `schur`, the Schur
+    complement of the earlier columns in G (G itself for no earlier ones),
+    and `gram_diag`, the G_jj of the added columns.  A column is dependent
+    when its Cholesky pivot, squared, is at most sqrt(eps) G_jj, or when
+    the factorization fails.
+    """
+    try:
+        pivots = np.diag(np.linalg.cholesky(schur)) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return not np.any(pivots <= np.sqrt(np.finfo(np.float64).eps) * gram_diag)
+
+
 def restricted_lsq(a: np.ndarray, f: np.ndarray, support) -> np.ndarray:
     """Least squares restricted to a column support set.
 
     Returns the length-N vector v minimizing ||f - A v||_2^2 subject to
     supp(v) being a subset of `support`; coordinates off the support are
-    exactly zero.  The restricted problem is solved by conjugate gradients
-    on the normal equations of the column submatrix, from zero, stopping
-    once the gradient restricted to the support has 2-norm <= 1e-9 or after
-    4 * |support| steps (roundoff slack beyond CG's exact termination).  A
-    singular restricted Gram matrix is handled by CG's natural behavior
-    inside the Krylov space; no factorization is formed.
+    exactly zero.  The restricted problem is solved directly: on the
+    normal equations G x = A_S^T f, G = A_S^T A_S, when `independent`
+    accepts the columns of A_S, and otherwise, when they are numerically
+    dependent, by `np.linalg.lstsq` on A_S, whose minimum-norm answer is
+    also a minimizer.
 
     Parameters
     ----------
-    a : (M, N) matrix
-    f : (M,) observation vector
+    a : (M, N) matrix with finite entries
+    f : (M,) finite observation vector
     support : sorted distinct indices into columns of `a`; empty -> zeros
+
+    Raises ValueError for a non-finite `a` or `f`, a length of `f` other
+    than M, a bad support, or a support of more than M columns.
     """
-    a = np.asarray(a, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    a, f = as_system(a, f)
     m, n = a.shape
     s = as_index_set(support, n)
     out = np.zeros(n)
@@ -99,27 +115,10 @@ def restricted_lsq(a: np.ndarray, f: np.ndarray, support) -> np.ndarray:
         raise ValueError(f"support size {s.size} exceeds number of rows {m}")
     a_s = a[:, s]
     gram = a_s.T @ a_s
-    b = a_s.T @ f
-
-    x = np.zeros(s.size)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(4 * s.size):
-        if np.sqrt(rs) <= 1e-9:
-            break
-        gp = gram @ p
-        p_gp = float(p @ gp)
-        if p_gp <= 0.0:
-            # null direction of a singular Gram: nothing further to gain
-            break
-        alpha = rs / p_gp
-        x += alpha * p
-        r -= alpha * gp
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    out[s] = x
+    if independent(gram, np.diag(gram)):
+        out[s] = np.linalg.solve(gram, a_s.T @ f)
+    else:
+        out[s] = np.linalg.lstsq(a_s, f, rcond=None)[0]
     return out
 
 

@@ -35,13 +35,8 @@ def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k >= w.size:
-        return w.copy()
-    # stable sort on negated magnitudes: ties keep their original order,
-    # so the lowest index wins
-    order = np.argsort(-np.abs(w), kind="stable")
+    keep = top_k_support(w, k)
     out = np.zeros_like(w)
-    keep = order[:k]
     out[keep] = w[keep]
     return out
 
@@ -56,6 +51,8 @@ def top_k_support(w: np.ndarray, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     k = min(k, w.size)
+    # stable sort on negated magnitudes: ties keep their original order,
+    # so the lowest index wins
     order = np.argsort(-np.abs(w), kind="stable")
     return np.sort(order[:k])
 

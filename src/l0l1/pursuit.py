@@ -11,8 +11,9 @@
   least squares on at most 2k columns, solved exactly by block principal
   pivoting on the sign pattern, warm-started from the previous iterate,
   and each distinct one is solved once per `clash_solve` call.  With
-  tau = inf the inner solves collapse to plain restricted least squares
-  and the loop is subspace pursuit's.
+  tau = inf the inner solves collapse to plain restricted least squares,
+  solved directly (`numerics.restricted_lsq`), and the loop is subspace
+  pursuit's.
 * `lasso_pg_solve` - monotone FISTA with adaptive restart over the full
   coordinate space, with the l1 ball projection and step 1/L.
 * `iht_solve` - fixed-step iterative hard thresholding, kept as a
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_system, lp_norm, restricted_lsq
+from .numerics import as_system, independent, lp_norm, restricted_lsq
 from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
 from .results import IterateTrace, SolverResult
 
@@ -68,9 +69,8 @@ class PursuitConfig:
     inactive; `clash_solve` runs its warm-start portfolio
     (`CONTINUATION_PORTFOLIO`) exactly when tau is finite.  Nothing else
     is settable: the outer loop stops once the relative iterate change is
-    at most 1e-6 or after 100 iterations, the l1-constrained
-    least-squares subproblems of `clash_solve` are solved exactly, and
-    restricted least squares runs at its own fixed tolerance.
+    at most 1e-6 or after 100 iterations, and every inner least-squares
+    problem, l1-constrained or not, is solved exactly.
     """
 
     sparsity: int
@@ -177,9 +177,9 @@ def _border(gram: np.ndarray, idx: np.ndarray, hinv: np.ndarray) -> np.ndarray |
     at a time: with H the inverse so far and c = H G_Aj, the Schur
     complement G_jj - G_Aj^T c is the square of the Cholesky pivot that
     column j adds.  None if a column lies numerically in the span of the
-    ones before it: its pivot squared is at most sqrt(eps) G_jj.
+    ones before it, by the rule of `numerics.independent`.
     """
-    n, m, eps = idx.size, hinv.shape[0], np.finfo(np.float64).eps
+    n, m = idx.size, hinv.shape[0]
     h = np.empty((n, n))
     h[:m, :m] = hinv
     for p in range(m, n, _BLOCK):
@@ -188,11 +188,7 @@ def _border(gram: np.ndarray, idx: np.ndarray, hinv: np.ndarray) -> np.ndarray |
         cross = gram[np.ix_(old, new)]
         c = h[:p, :p] @ cross
         schur = gram[np.ix_(new, new)] - cross.T @ c
-        try:
-            pivots = np.diag(np.linalg.cholesky(schur)) ** 2
-        except np.linalg.LinAlgError:
-            return None
-        if np.any(pivots <= np.sqrt(eps) * np.diag(gram)[new]):
+        if not independent(schur, np.diag(gram)[new]):
             return None
         s_inv = np.linalg.inv(schur)
         cs = c @ s_inv

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l0l1.numerics import (
     lp_norm,
@@ -33,6 +35,14 @@ def gaussian_elimination_solve(a, b):
         s = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, n))
         x[r] = s / a[r][r]
     return np.array(x)
+
+
+def gradient_rounding(a_s, f):
+    """Rounding level of the restricted gradient A_S^T (f - A_S x) at a
+    least-squares minimizer x: 100 eps times the squared condition number
+    of A_S's distinct columns, on the scale ||A_S||_2 ||f||_2."""
+    kappa = np.linalg.cond(np.unique(a_s, axis=1)) ** 2
+    return 100 * np.finfo(float).eps * kappa * np.linalg.norm(a_s, 2) * np.linalg.norm(f)
 
 
 class TestLpNorm:
@@ -86,7 +96,7 @@ class TestRestrictedLsq:
             np.testing.assert_allclose(out[support], expected, atol=1e-8)
 
     def test_restricted_gradient_below_tol(self):
-        # restricted_lsq stops once the restricted gradient is at most 1e-9
+        # the solve is direct: the restricted gradient is rounding noise
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = rng.normal(size=(15, 30))
@@ -94,7 +104,7 @@ class TestRestrictedLsq:
             support = np.sort(rng.choice(30, size=7, replace=False))
             v = restricted_lsq(a, f, support)
             grad = a.T @ (f - a @ v)
-            assert lp_norm(grad[support], 2) <= 1e-9
+            assert lp_norm(grad[support], 2) <= gradient_rounding(a[:, support], f)
 
     def test_singular_gram_no_crash(self):
         # duplicated column makes the restricted Gram singular
@@ -106,6 +116,44 @@ class TestRestrictedLsq:
     def test_support_larger_than_rows_rejected(self):
         with pytest.raises(ValueError):
             restricted_lsq(np.ones((2, 5)), np.ones(2), [0, 1, 2])
+
+    @pytest.mark.parametrize("defect", ["nan in a", "nan in f", "short f"])
+    def test_bad_input_raises_value_error(self, defect):
+        rng = np.random.default_rng(4)
+        a, f = rng.normal(size=(6, 9)), rng.normal(size=6)
+        if defect == "nan in a":
+            a[2, 7] = np.nan
+        elif defect == "nan in f":
+            f[3] = np.nan
+        else:
+            f = f[:-1]
+        with pytest.raises(ValueError):
+            restricted_lsq(a, f, [1, 4])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        size=st.integers(1, 40),
+        extra=st.integers(0, 10),
+        duplicate=st.booleans(),
+    )
+    def test_property_exact_on_the_support(self, seed, m, size, extra, duplicate):
+        # |S| = min(size, m), so |S| = m is common; a duplicated column
+        # makes the restricted Gram matrix singular
+        rng = np.random.default_rng(seed)
+        size = min(size, m)
+        n = size + extra
+        a, f = rng.normal(size=(m, n)), rng.normal(size=m)
+        support = np.sort(rng.choice(n, size=size, replace=False))
+        if duplicate and size > 1:
+            a[:, support[1]] = a[:, support[0]]
+        out = restricted_lsq(a, f, support)
+        assert np.all(np.isfinite(out))
+        assert np.all(np.delete(out, support) == 0.0)
+        a_s = a[:, support]
+        grad = a_s.T @ (f - a_s @ out[support])
+        assert lp_norm(grad, 2) <= gradient_rounding(a_s, f)
 
 
 class TestFileFormats:

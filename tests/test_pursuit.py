@@ -73,6 +73,22 @@ class TestSubspacePursuit:
         with pytest.raises(ValueError):
             sp_solve(np.ones((3, 6)), np.ones(3), PursuitConfig(sparsity=4))
 
+    def test_duplicated_column(self, monkeypatch):
+        # both copies of the column most correlated with f enter the first
+        # fit, whose Gram matrix is then singular and is solved by lstsq
+        phi, f, _ = gaussian_case(8, m=30, n=60)
+        phi[:, 59] = phi[:, np.argmax(np.abs(phi[:, :59].T @ f))]
+        fallbacks = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **kw: fallbacks.append(1) or lstsq(*a, **kw)
+        )
+        res, trace = sp_solve(phi, f, PursuitConfig(sparsity=15))
+        assert fallbacks
+        assert np.all(np.isfinite(res.alpha))
+        assert np.count_nonzero(res.alpha) <= 15
+        assert all(np.count_nonzero(it) <= 15 for it in trace.iterates)
+
     def test_iterates_k_sparse(self):
         p = desk_instance(7)
         res, trace = sp_solve(p.phi, p.f, PursuitConfig(sparsity=12))
