@@ -108,11 +108,17 @@ def restricted_lsq(a: np.ndarray, f: np.ndarray, support) -> np.ndarray:
     a, f = as_system(a, f)
     m, n = a.shape
     s = as_index_set(support, n)
-    out = np.zeros(n)
-    if s.size == 0:
-        return out
     if s.size > m:
         raise ValueError(f"support size {s.size} exceeds number of rows {m}")
+    return _restricted_lsq(a, f, s)
+
+
+def _restricted_lsq(a: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """`restricted_lsq` without its checks, for callers that have already
+    validated the system and hold a sorted support of at most M columns."""
+    out = np.zeros(a.shape[1])
+    if s.size == 0:
+        return out
     a_s = a[:, s]
     gram = a_s.T @ a_s
     if independent(gram, np.diag(gram)):

@@ -16,8 +16,9 @@
   pursuit's.
 * `lasso_pg_solve` - monotone FISTA with adaptive restart over the full
   coordinate space, with the l1 ball projection and step 1/L.
-* `iht_solve` - fixed-step iterative hard thresholding, kept as a
-  comparison baseline.
+* `iht_solve` - normalized iterative hard thresholding, kept as a
+  comparison baseline: a line-search step on the current support, shrunk
+  when the thresholded point leaves that support.
 
 All top-k selections break magnitude ties toward the lowest index, so
 every solver is deterministic given its inputs.  Every solver rejects a
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_system, independent, lp_norm, restricted_lsq
+from .numerics import _restricted_lsq, as_system, independent
 from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
 from .results import IterateTrace, SolverResult
 
@@ -59,6 +60,10 @@ CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
 _TOLERANCE = 1e-6
 _MAX_ITERATIONS = 100
 _IHT_MAX_ITERATIONS = 500
+# normalized IHT's step shrinkage: c bounds the step against the move's
+# curvature, and a rejected step is divided by kappa (1 - c)
+_NIHT_C = 0.01
+_NIHT_KAPPA = 2.0
 
 
 @dataclass
@@ -94,8 +99,11 @@ class ContractionReport:
 
 
 def _check_sparsity(k: int, phi: np.ndarray) -> None:
-    """Reject a sparsity above min(M, N): no more columns than Phi has, and
-    no more than its rows, the most a least-squares fit determines."""
+    """Reject a sparsity below 1, or above min(M, N): no more columns than
+    Phi has, and no more than its rows, the most a least-squares fit
+    determines."""
+    if k < 1:
+        raise ValueError(f"sparsity must be >= 1, got {k}")
     if k > min(phi.shape):
         m, n = phi.shape
         raise ValueError(f"sparsity {k} exceeds min(M, N) = min({m}, {n})")
@@ -521,7 +529,7 @@ def _clash_loop(
             if norm_active:
                 solved = _l1_restricted_lsq(phi, f, support, tau, warm)
             else:
-                solved = restricted_lsq(phi, f, support)
+                solved = _restricted_lsq(phi, f, support)
             values = solved[support]
             values.flags.writeable = False
             memo[key] = values
@@ -728,34 +736,66 @@ def lasso_pg_solve(
 
 
 def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
-    """Fixed-step iterative hard thresholding:
-    a <- hard_threshold(a - step * Phi^T (Phi a - f), k).
+    """Normalized iterative hard thresholding (Blumensath & Davies 2010):
+    a <- H_k(a + mu * g), g = Phi^T (f - Phi a), H_k keeping the k
+    largest magnitudes.
 
-    The step is 1/L with L from power iteration on Phi^T Phi (1 if L is
-    0).  Stops once the relative iterate change is at most 1e-6, or after
-    500 iterations.  The history holds the residual 2-norm after each
-    step.  The residual Phi a - f is carried from one step to the next,
-    so a step costs two products with Phi.
+    The support S starts as the top k of |Phi^T f|.  The step mu is the
+    exact line search along g_S, ||g_S||^2 / ||Phi g_S||^2.  When the
+    thresholded point leaves S, mu is divided by kappa (1 - c), with
+    c = 0.01 and kappa = 2, until mu <= (1 - c) ||d||^2 / ||Phi d||^2 for
+    the move d; then the residual norm cannot rise.  Stops with
+    "converged" once the relative iterate change is at most 1e-6 or
+    Phi g_S = 0, else after 500 iterations with "max-iterations".  The
+    history holds the residual 2-norm after each iteration.
+
+    The residual is carried, f - Phi a - Phi d, with Phi d = mu Phi g_S
+    when S does not change, so an iteration costs two products with Phi
+    and each step tried off S one more.  The returned residual norm is
+    recomputed from the returned a.
     """
     phi, f = as_system(phi, f)
     _check_sparsity(k, phi)
-    n = phi.shape[1]
-    lam = _power_iter_cols(phi)
-    step = 1.0 / lam if lam > 0 else 1.0
-    x = np.zeros(n)
-    r = phi @ x - f
+    x = np.zeros(phi.shape[1])
+    r = f
+    g = phi.T @ f
+    support = top_k_support(g, k)
     history: list[float] = []
     termination = "max-iterations"
     for _ in range(_IHT_MAX_ITERATIONS):
-        x_new = hard_threshold(x - step * (phi.T @ r), k)
-        delta = float(np.sqrt(np.sum((x_new - x) ** 2)))
-        x = x_new
-        r = phi @ x - f
-        history.append(lp_norm(r, 2))
-        if delta <= _TOLERANCE * max(float(np.sqrt(x @ x)), 1e-12):
+        g_s = np.zeros_like(g)
+        g_s[support] = g[support]
+        phi_g = phi @ g_s
+        curvature = float(phi_g @ phi_g)
+        if curvature == 0.0:
             termination = "converged"
             break
-    return SolverResult(x, history[-1], history[-1], history, len(history), termination)
+        mu = float(g_s @ g_s) / curvature
+        while True:
+            w = x + mu * g
+            new = top_k_support(w, k)
+            x_new = np.zeros_like(x)
+            x_new[new] = w[new]
+            d = x_new - x
+            if np.array_equal(new, support):
+                phi_d = mu * phi_g
+                break
+            phi_d = phi @ d
+            if mu * float(phi_d @ phi_d) <= (1.0 - _NIHT_C) * float(d @ d):
+                break
+            mu /= _NIHT_KAPPA * (1.0 - _NIHT_C)
+        x, support = x_new, new
+        r = r - phi_d
+        history.append(float(np.sqrt(r @ r)))
+        if float(np.sqrt(d @ d)) <= _TOLERANCE * max(float(np.sqrt(x @ x)), 1e-12):
+            termination = "converged"
+            break
+        g = phi.T @ r
+    r = f - phi @ x
+    res_norm = float(np.sqrt(r @ r))
+    if history:
+        history[-1] = res_norm
+    return SolverResult(x, res_norm, res_norm, history, len(history), termination)
 
 
 def contraction_check(

@@ -526,17 +526,25 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             self.SOLVERS[solver](phi, f)
 
+    SPARSE_SOLVERS = {
+        "clash": lambda phi, f, k: clash_solve(phi, f, PursuitConfig(sparsity=k, tau=1.0)),
+        "sp": lambda phi, f, k: sp_solve(phi, f, PursuitConfig(sparsity=k)),
+        "iht": lambda phi, f, k: iht_solve(phi, f, k),
+    }
+
     @pytest.mark.parametrize("solver", ["clash", "sp", "iht"])
     @pytest.mark.parametrize("shape, k", [((10, 5), 7), ((3, 8), 5)])
     def test_sparsity_above_rows_or_columns_rejected(self, solver, shape, k):
         phi, f, _ = gaussian_case(6, *shape)
-        call = {
-            "clash": lambda: clash_solve(phi, f, PursuitConfig(sparsity=k, tau=1.0)),
-            "sp": lambda: sp_solve(phi, f, PursuitConfig(sparsity=k)),
-            "iht": lambda: iht_solve(phi, f, k),
-        }[solver]
         with pytest.raises(ValueError, match="exceeds min"):
-            call()
+            self.SPARSE_SOLVERS[solver](phi, f, k)
+
+    @pytest.mark.parametrize("solver", ["clash", "sp", "iht"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_sparsity_below_one_rejected(self, solver, k):
+        phi, f, _ = gaussian_case(6, 10, 5)
+        with pytest.raises(ValueError, match="sparsity must be >= 1"):
+            self.SPARSE_SOLVERS[solver](phi, f, k)
 
 
 class TestLassoPG:
@@ -622,7 +630,7 @@ class TestLassoPG:
 class TestIht:
     def test_identity_one_step(self):
         f = np.array([3.0, -1.0, 0.2, 0.0])
-        # power iteration gives L = 1 on the identity, so the step is 1
+        # on the identity the line-search step along g_S is 1
         res = iht_solve(np.eye(4), f, k=2)
         np.testing.assert_allclose(res.alpha, hard_threshold(f, 2), atol=1e-12)
 
@@ -640,6 +648,43 @@ class TestIht:
         p = desk_instance(15)
         res = iht_solve(p.phi, p.f, k=9)
         assert np.count_nonzero(res.alpha) <= 9
+
+    def test_stops_before_the_cap_at_bench_size(self):
+        # a fixed 1/L step runs this instance to the cap
+        p = desk_instance(derive_seed(900, 1), n=1000, m=305, k=115, sigma=1e-3)
+        res = iht_solve(p.phi, p.f, k=115)
+        assert res.termination == "converged"
+        assert res.iterations < 500
+
+    def test_rerun_is_bit_identical(self):
+        p = desk_instance(16, sigma=0.01)
+        assert differing_fields(iht_solve(p.phi, p.f, k=12), iht_solve(p.phi, p.f, k=12)) == []
+
+    @pytest.mark.parametrize("seed", range(17, 25))
+    def test_residual_is_recomputed_from_the_output(self, seed):
+        # the loop carries the residual, which drifts by rounding; the
+        # reported norm is exact
+        p = desk_instance(seed, sigma=0.05)
+        res = iht_solve(p.phi, p.f, k=12)
+        r = p.f - p.phi @ res.alpha
+        assert res.residual_l2 == float(np.sqrt(r @ r))
+        assert res.history[-1] == res.residual_l2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_property_sparse_finite_and_monotone(self, seed, m, n, k_frac):
+        phi, f, _ = gaussian_case(seed, m, n)
+        k = 1 + int(k_frac * (min(m, n) - 1))
+        res = iht_solve(phi, f, k)
+        assert np.all(np.isfinite(res.alpha))
+        assert np.count_nonzero(res.alpha) <= k
+        hist = np.array(res.history)
+        assert np.all(hist[1:] <= hist[:-1] + 1e-12 * np.sqrt(f @ f))
 
 
 class TestContractionCheck:
