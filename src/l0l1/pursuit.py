@@ -9,11 +9,11 @@
   over the extended support, combinatorial selection, and an l1-aware
   de-bias on the pruned support.  Each inner solve is l1-constrained
   least squares on at most 2k columns, solved exactly by block principal
-  pivoting on the sign pattern, warm-started from the previous iterate,
-  and each distinct one is solved once per `clash_solve` call.  With
-  tau = inf the inner solves collapse to plain restricted least squares,
-  solved directly (`numerics.restricted_lsq`), and the loop is subspace
-  pursuit's.
+  pivoting on the sign pattern with a one-index-at-a-time backup,
+  warm-started from the previous iterate, and each distinct one is
+  solved once per `clash_solve` call.  With tau = inf the inner solves
+  collapse to plain restricted least squares, solved directly
+  (`numerics.restricted_lsq`), and the loop is subspace pursuit's.
 * `lasso_pg_solve` - monotone FISTA with adaptive restart over the full
   coordinate space, with the l1 ball projection and step 1/L.
 * `iht_solve` - normalized iterative hard thresholding, kept as a
@@ -152,13 +152,14 @@ def _l1_restricted_lsq(
     """Exact minimizer of ||f - Phi v||_2^2 over supp(v) in `support`,
     ||v||_1 <= tau.
 
-    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and an
-    active-set method finds the minimizer, warm-started from the signs of
-    `warm` (see `_l1_active_set`).  When the unconstrained least-squares
-    fit lies inside the ball the method ends at it, off the l1 sphere;
-    when it lies outside, even by rounding, the method ends on the sphere.
-    Returns a full-length vector, zero off the support, whose l1 norm
-    summed over the full length is at most tau.
+    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and block
+    principal pivoting on the sign pattern finds the minimizer,
+    warm-started from the signs of `warm`; the support may hold more
+    columns than Phi has rows (see `_l1_active_set`).  When the
+    unconstrained least-squares fit lies inside the ball the method ends
+    at it, off the l1 sphere; when it lies outside, even by rounding, it
+    ends on the sphere.  Returns a full-length vector, zero off the
+    support, whose l1 norm summed over the full length is at most tau.
     """
     m, n = phi.shape
     out = np.zeros(n)
@@ -220,92 +221,42 @@ def _remove(
     )
 
 
+def _from_scratch(gram: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """G_AA^{-1} formed from scratch by `_border`; RuntimeError if singular."""
+    hinv = _border(gram, act, np.empty((0, 0)))
+    if hinv is None:
+        raise RuntimeError(
+            f"l1-constrained least squares: singular active set of {act.size}"
+        )
+    return hinv
+
+
 def _first_zero(xa: np.ndarray, sgn: np.ndarray, d: np.ndarray) -> tuple[float, int]:
     """The step t >= 0 at which xa + t d first has a coordinate reach zero
-    from its sign, and that coordinate's position; (inf, -1) if none
-    moves toward zero."""
+    from its sign, and that coordinate's position; t = inf if none moves
+    toward zero.  xa is not empty."""
     closing = sgn * d < 0
-    if not np.any(closing):
-        return np.inf, -1
     ratios = np.full(xa.size, np.inf)
     ratios[closing] = -xa[closing] / d[closing]
     i = int(np.argmin(ratios))
     return max(float(ratios[i]), 0.0), i
 
 
+def _trade(
+    act: np.ndarray, sgn: np.ndarray, xa: np.ndarray, j: int, sj: float, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column j traded into the active set at constant residual: x_j = t s_j
+    and xa + t d, d = -s_j G_AA^{-1} G_Aj, lower ||x||_1 until a coordinate
+    of A reaches zero; it leaves.  Returns the new act, sgn and xa."""
+    step, i = _first_zero(xa, sgn, d)
+    xa = np.append(np.delete(xa + step * d, i), step * sj)
+    return np.append(np.delete(act, i), j), np.append(np.delete(sgn, i), sj), xa
+
+
 # Block exchanges in a row that do not lower the count of violated
-# optimality conditions before `_l1_active_set` gives up on them and pivots
-# one index at a time (the backup rule of Kim & Park 2011)
+# optimality conditions before `_l1_active_set` turns to its backup and
+# exchanges one index at a time for the rest of the solve
 _BACKUP = 3
-
-
-def _block_pivots(
-    gram: np.ndarray,
-    b: np.ndarray,
-    tau: float,
-    start: np.ndarray,
-    rows: int,
-    slack: float,
-) -> np.ndarray | None:
-    """Block principal pivoting for the problem of `_l1_active_set`: the
-    minimizer, or None once the backup rule runs out or an active set
-    would be singular, as it is with more than `rows` indices.
-
-    The state is an active set A with signs s and no iterate.  Each step
-    solves the face {supp(x) in A, s^T x_A <= tau} at once, x_A = u - lam v
-    with lam = max((s^T u - tau) / (s^T v), 0), and exchanges every
-    violator together: each coordinate of A whose sign disagrees with s
-    leaves, and each j off A with |g_j| > lam, g = b - G x, enters with the
-    sign of g_j.  With no violator left, G_AA^{-1} is formed from scratch
-    and the conditions are checked again before x is returned.
-    """
-    size, g_max = b.size, np.max(np.diag(gram))
-    act = np.nonzero(start)[0]
-    sgn = np.sign(start[act])
-    hinv = _border(gram, act, np.empty((0, 0))) if act.size <= rows else None
-    if hinv is None:
-        act, sgn, hinv = act[:0], sgn[:0], np.empty((0, 0))
-    fresh, fewest, backup = True, size + 1, _BACKUP
-    while True:
-        u, v = hinv @ b[act], hinv @ sgn
-        curve = float(sgn @ v) if act.size else 1.0
-        if not curve > 0.0:
-            # s^T G_AA^{-1} s > 0 while G_AA^{-1} stays positive definite
-            return None
-        lam = max(float(sgn @ u - tau) / curve, 0.0)
-        x = np.zeros(size)
-        x[act] = u - lam * v
-        g = b - gram @ x
-        excess = np.abs(g) - lam
-        excess[act] = -np.inf
-        tol = slack * (1.0 + g_max * np.max(np.diag(hinv), initial=0.0))
-        enter = np.nonzero(excess > tol + 1e-10 * lam)[0]
-        leave = np.nonzero(sgn * x[act] < 0.0)[0]
-        if enter.size == 0 and leave.size == 0:
-            if fresh:
-                return x
-            hinv = _border(gram, act, np.empty((0, 0)))
-            if hinv is None:
-                return None
-            fresh = True
-            continue
-        if enter.size + leave.size < fewest:
-            fewest, backup = enter.size + leave.size, _BACKUP
-        elif backup > 0:
-            backup -= 1
-        else:
-            return None
-        if leave.size:
-            keep, hinv = _remove(hinv, leave)
-            act, sgn = act[keep], sgn[keep]
-        if act.size + enter.size > rows:
-            return None
-        grown = np.append(act, enter)
-        hinv = _border(gram, grown, hinv)
-        if hinv is None:
-            return None
-        act, sgn = grown, np.append(sgn, np.sign(g[enter]))
-        fresh = False
 
 
 def _l1_active_set(
@@ -313,150 +264,119 @@ def _l1_active_set(
 ) -> np.ndarray:
     """Exact minimizer of 1/2 x^T G x - b^T x over ||x||_1 <= tau.
 
-    Block principal pivoting (`_block_pivots`, after Kim & Park 2011)
-    runs first and usually finds it.  When it gives up, a primal
-    active-set method that pivots one index at a time (Osborne, Presnell
-    & Turlach 2000) starts again from `start`, as follows.
+    Block principal pivoting on the sign pattern (Kim & Park 2011): the
+    state is an active set A with signs s, each step solves the face
+    {supp(x) in A, s^T x_A <= tau}, x_A = u - lam v with u = G_AA^{-1} b_A,
+    v = G_AA^{-1} s, lam = max((s^T u - tau) / (s^T v), 0), and every
+    violator is exchanged: i in A with s_i x_i < 0 leaves, and j off A
+    with |g_j| > lam, g = b - G x, enters with the sign of g_j.  After
+    `_BACKUP` steps that do not lower the count of violators, or at an
+    entry that would make G_AA singular, the backup exchanges one index at
+    a time from x = 0: x moves toward the face minimizer until a
+    coordinate reaches zero and leaves, and at the minimizer the largest
+    violator enters, so the objective falls.  An index entering on a true
+    violation moves off zero with its sign; one that the next step moves
+    against it entered on rounding noise and is barred.  A column j in the
+    span of A's, c = G_AA^{-1} G_Aj, has g_j = lam s^T c at a face
+    minimizer: if |s^T c| > 1 `_trade` brings it in, else it is barred.
+    Bars, trades and the check before x is returned use G_AA^{-1} formed
+    from scratch, not its updates by `_border` and `_remove`.
 
-    The state is an active set A with signs s and G_AA nonsingular, an
-    iterate x supported on A with sign(x_A) in {0, s}, and whether
-    ||x||_1 = s^T x_A = tau is held as an equality.  Each pivot moves x
-    toward the minimizer on the current face: x_A = u - lam v with
-    u = G_AA^{-1} b_A, v = G_AA^{-1} s and lam = (s^T u - tau) / (s^T v)
-    when the equality is held, x_A = u otherwise.  A coordinate that would
-    change sign stops the step where it reaches zero and leaves A; the l1
-    sphere stops a step that is not held to it, and the equality is held
-    from then on.  At the face minimizer a negative lam releases the
-    equality; otherwise the coordinate j off A that most violates
-    |g_j| <= lam, g = b - G x, joins A with the sign of g_j.  If column j
-    lies in the span of A's columns, as it must once |A| reaches `rows`,
-    it is traded in at constant residual instead, which lowers ||x||_1,
-    until a coordinate of A reaches zero and leaves.  An index whose
-    entry is undone by the very next step, or that the first step after a
-    check from scratch (below) drops, entered on rounding noise and may
-    not enter again.  Pivots update G_AA^{-1} in O(|A|^2) with the
-    same two functions as the block pivots: `_border` for an entry, which
-    also refuses a dependent column, and `_remove` for a leave.  When no
-    pivot applies, G_AA^{-1} is formed again from scratch and the
-    conditions are checked again before x is returned.
-
-    Both methods start from the signs of `start`, the single pivots with
-    `start` scaled onto the sphere, or from x = 0 if `start` is zero or
-    its Gram block is singular, as it is with more nonzeros than `rows`.
-    Raises RuntimeError if the single pivots run out, or if their final
-    active set, or the one a trade enters, is singular.
+    Starts from the signs of `start`, or from A empty if their Gram block
+    is singular, as it is with more nonzeros than `rows`.  Raises
+    RuntimeError after 20|S| + 50 steps, or if G_AA^{-1} formed from
+    scratch is singular or indefinite.
     """
-    size = b.size
-    eps = np.finfo(np.float64).eps
-    g_max = np.max(np.diag(gram))
+    size, g_max = b.size, np.max(np.diag(gram))
     # rounding bound of g_j = b_j - G_j x, |S| terms with ||x||_1 <= tau;
     # the error of x_A adds the same amplified by the condition number of
-    # G_AA, estimated at each pivot as g_max max(diag(G_AA^{-1}))
-    slack = size * eps * (np.max(np.abs(b)) + g_max * tau)
-    x = _block_pivots(gram, b, tau, start, rows, slack)
-    if x is not None:
-        return x
+    # G_AA, estimated at each step as g_max max(diag(G_AA^{-1}))
+    slack = size * np.finfo(np.float64).eps * (np.max(np.abs(b)) + g_max * tau)
     act = np.nonzero(start)[0]
+    sgn = np.sign(start[act])
     hinv = _border(gram, act, np.empty((0, 0))) if act.size <= rows else None
     if hinv is None:
-        act, hinv = act[:0], np.empty((0, 0))
-    xa = start[act] * (tau / np.sum(np.abs(start[act]))) if act.size else np.zeros(0)
-    sgn = np.sign(xa)
-    held = act.size > 0
-    fresh, entered = False, False
+        act, sgn, hinv = act[:0], sgn[:0], np.empty((0, 0))
+    fresh, fewest, backup, entered = True, size + 1, _BACKUP, -1
     barred = np.zeros(size, dtype=bool)
+    # the iterate of the single exchanges; None while block exchanges run
+    xa = None
     for _ in range(20 * size + 50):
-        if hinv is None:
-            # `_border` refused a column that had to enter: from x = 0, in
-            # a trade, or in the re-check from scratch
-            raise RuntimeError(
-                f"l1-constrained least squares: singular active set of {act.size}"
-            )
-        p = act.size
-        if p == 0:
-            # x = 0 lies inside the ball: enter along the steepest coordinate
-            j = int(np.argmax(np.abs(b)))
-            if abs(b[j]) <= slack:
-                return np.zeros(size)
-            act, sgn, xa = np.array([j]), np.sign(b[[j]]), np.zeros(1)
-            hinv = _border(gram, act, hinv)
-            held, fresh = False, False
-            continue
-        u = hinv @ b[act]
-        if held:
-            v = hinv @ sgn
-            lam = (sgn @ u - tau) / (sgn @ v)
-            z = u - lam * v
-            # lam < 0: u lies inside the ball, and the step from the face
-            # minimizer z toward it does not meet the sphere
-            release = lam < 0.0
-        else:
-            lam, z = 0.0, u
-        d = z - xa
-        was_entered, entered = entered, False
-        if was_entered and sgn[-1] * d[-1] < 0:
-            # an index entering on a true violation moves off zero with
-            # its sign: this one entered on rounding, and may not again
-            barred[act[-1]] = True
-            step, drop = 0.0, p - 1
-        else:
-            step, drop = _first_zero(xa, sgn, d)
-            if step >= 1.0:
-                step, drop = 1.0, -1
-        if not held:
-            rise = float(sgn @ d)
-            if rise > 0.0 and float(sgn @ xa) + step * rise > tau:
-                xa = xa + max((tau - float(sgn @ xa)) / rise, 0.0) * d
-                held, fresh = True, False
-                continue
-        if drop >= 0:
+        u, v = hinv @ b[act], hinv @ sgn
+        curve = float(sgn @ v) if act.size else 1.0
+        if not curve > 0.0:
+            # s^T G_AA^{-1} s > 0 while G_AA^{-1} stays positive definite
             if fresh:
-                # the first step on the inverse formed again from scratch
-                # drops a coordinate that the pivots' own inverse kept: it
-                # entered on rounding noise, and may not enter again
-                barred[act[drop]] = True
-            keep, hinv = _remove(hinv, [drop])
-            act, sgn, xa = act[keep], sgn[keep], (xa + step * d)[keep]
-            fresh = False
+                raise RuntimeError("l1-constrained least squares: indefinite G_AA")
+            hinv, fresh = _from_scratch(gram, act), True
             continue
-        xa = z
-        if held and release:
-            held, fresh = False, False
-            continue
-        tol = slack * (1.0 + g_max * np.max(np.diag(hinv)))
+        lam = max(float(sgn @ u - tau) / curve, 0.0)
+        za = u - lam * v
+        if xa is not None and act.size:
+            step, i = _first_zero(xa, sgn, za - xa)
+            if step < 1.0:
+                if act[i] == entered and not fresh:
+                    hinv, fresh = _from_scratch(gram, act), True
+                    continue
+                if act[i] == entered:
+                    barred[entered] = True
+                keep, hinv = _remove(hinv, [i])
+                act, sgn, xa = act[keep], sgn[keep], (xa + step * (za - xa))[keep]
+                fresh, entered = False, -1
+                continue
+            # a sign that rounding flipped at zero is put back to zero
+            xa = za = np.where(sgn * za < 0.0, 0.0, za)
+            entered = -1
         x = np.zeros(size)
-        x[act] = xa
+        x[act] = za
         g = b - gram @ x
-        excess = np.abs(g) - max(lam, 0.0)
+        excess = np.abs(g) - lam
         excess[act] = -np.inf
         excess[barred] = -np.inf
-        j = int(np.argmax(excess))
-        if excess[j] > tol + 1e-10 * max(lam, 0.0):
-            sj = np.sign(g[j])
-            grown = _border(gram, np.append(act, j), hinv) if p < rows else None
-            if grown is not None:
-                act, sgn, xa, hinv = (
-                    np.append(act, j), np.append(sgn, sj), np.append(xa, 0.0), grown
-                )
-                fresh, entered = False, True
-                continue
-            trade = -sj * (hinv @ gram[act, j])
-            if sgn @ trade < -1.0:
-                # x_j = t s_j and x_A - t s_j c, c = G_AA^{-1} G_Aj, leave the
-                # residual as it is while ||x||_1 falls, until a coordinate
-                # of A is zero; it leaves and j enters in its place
-                t, i = _first_zero(xa, sgn, trade)
-                keep, hinv = _remove(hinv, [i])
-                act = np.append(act[keep], j)
-                sgn = np.append(sgn[keep], sj)
-                xa = np.append((xa + t * trade)[keep], t * sj)
-                hinv = _border(gram, act, hinv)
-                held, fresh = False, False
-                continue
-        if fresh:
-            return x
-        fresh = True
-        hinv = _border(gram, act, np.empty((0, 0)))
+        tol = slack * (1.0 + g_max * np.max(np.diag(hinv), initial=0.0))
+        enter = np.nonzero(excess > tol + 1e-10 * lam)[0]
+        leave = np.nonzero(sgn * za < 0.0)[0]
+        if enter.size == 0 and leave.size == 0:
+            if fresh:
+                return x
+            hinv, fresh = _from_scratch(gram, act), True
+            continue
+        if xa is None:
+            if enter.size + leave.size < fewest:
+                fewest, backup = enter.size + leave.size, _BACKUP
+            else:
+                backup -= 1
+        else:
+            enter = enter[[np.argmax(excess[enter])]]
+        grown = None
+        if xa is not None or backup >= 0:
+            if leave.size:
+                keep, hinv = _remove(hinv, leave)
+                act, sgn = act[keep], sgn[keep]
+            if act.size + enter.size <= rows:
+                grown = _border(gram, np.append(act, enter), hinv)
+        if grown is not None:
+            act, sgn = np.append(act, enter), np.append(sgn, np.sign(g[enter]))
+            hinv, fresh = grown, False
+            if xa is not None:
+                xa, entered = np.append(xa, 0.0), enter[0]
+            continue
+        if xa is None:
+            # the backup, from x = 0 on an inverse formed from scratch
+            xa = np.zeros(act.size)
+            hinv, fresh = _from_scratch(gram, act), True
+            continue
+        j, sj = enter[0], np.sign(g[enter[0]])
+        if not fresh:
+            hinv, fresh = _from_scratch(gram, act), True
+            continue
+        trade = -sj * (hinv @ gram[act, j])
+        if sgn @ trade < -1.0:
+            act, sgn, xa = _trade(act, sgn, xa, j, sj, trade)
+            hinv = _from_scratch(gram, act)
+        else:
+            # |g_j| = lam |s^T c| <= lam: j violates on rounding noise only
+            barred[j] = True
     raise RuntimeError(
         f"l1-constrained least squares: no optimum after {20 * size + 50} pivots"
     )
@@ -594,7 +514,7 @@ def clash_solve(
     pruned support, keeping the norm budget active so every emitted
     iterate satisfies both constraints, its l1 norm summed over the full
     length at most tau.  Steps 2 and 4 are solved exactly
-    (`_l1_restricted_lsq`) by a primal active-set method on the sign
+    (`_l1_restricted_lsq`) by block principal pivoting on the sign
     pattern, warm-started from the current iterate (step 2) or the pruned
     vector (step 4); it raises RuntimeError if it fails to reach the
     optimum.  Step 4 is skipped when pruning keeps every nonzero of the

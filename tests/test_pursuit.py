@@ -332,9 +332,9 @@ class TestL1RestrictedLsq:
         assert ours <= lsq_objective(phi_s, f, ref) * (1 + 1e-10) + 1e-12 * (f @ f)
 
     def test_singular_warm_start(self):
-        # columns 3 and 7 are equal: the block pivots give up once both
-        # enter, and the single pivots refuse the warm start on both and
-        # start from zero
+        # columns 3 and 7 are equal: G_AA of the warm start is singular,
+        # so the solve starts from zero, and once one copy is active the
+        # other is in the span of the active columns
         phi, f, _ = gaussian_case(2, m=30, n=12)
         phi[:, 7] = phi[:, 3]
         warm = np.zeros(12)
@@ -348,17 +348,19 @@ class TestL1RestrictedLsq:
     @pytest.mark.parametrize(
         "seed, m, n",
         [(2063, 6, 14), (1063, 18, 39), (125, 19, 35), (618, 19, 35), (4, 18, 39),
-         (159, 6, 14)],
+         (159, 6, 14), (259, 12, 20)],
     )
     def test_noiseless_wide_at_the_true_budget(self, seed, m, n):
         # the minimizer interpolates f, so g is rounding noise and an index
-        # can enter on it; the single pivots bar an index whose entry the
-        # next step undoes.  The first two instances reach that branch with
+        # can enter on it; the backup bars an index whose entry the next
+        # step undoes.  (2063, 6, 14) and (159, 6, 14) reach that bar with
         # the rounding of OpenBLAS 0.3 on x86-64; other rounding may not.
-        # The last four used to cycle until the pivot cap: the first three
-        # by holding and releasing the sphere at lam = +6e-17, the last by
-        # re-entering an index that the first step after the check from
-        # scratch drops.
+        # The four from (125, 19, 35) on cycled until the pivot cap in
+        # earlier versions: the first three by holding and releasing the
+        # sphere at lam = +6e-17, the fourth by re-entering an index that
+        # the first step after the check from scratch drops.  The last
+        # cycled through a trade at |A| = M: a column traded out
+        # re-entered on a violation of 4e-12.
         phi, f, truth = gaussian_case(seed, m, n, sigma=0.0)
         tau = np.sum(np.abs(truth))
         out = _l1_restricted_lsq(phi, f, np.arange(n), tau, None)
@@ -376,9 +378,10 @@ class TestL1RestrictedLsq:
         n=st.integers(1, 40),
         frac=st.floats(0.01, 2.0),
         warm_kind=st.sampled_from(["none", "truth", "random"]),
+        sigma=st.sampled_from([0.0, 0.1]),
     )
-    def test_property_feasible_and_optimal(self, seed, m, n, frac, warm_kind):
-        phi, f, truth = gaussian_case(seed, m, n)
+    def test_property_feasible_and_optimal(self, seed, m, n, frac, warm_kind, sigma):
+        phi, f, truth = gaussian_case(seed, m, n, sigma)
         rng = np.random.default_rng(seed + 1)
         warm = {"none": None, "truth": truth, "random": rng.normal(size=n)}[warm_kind]
         scale = np.max(np.abs(phi.T @ f))
@@ -453,8 +456,9 @@ class TestInnerSolveReuse:
 
 
 class TestBlockPivots:
-    """The block exchanges of `_l1_active_set` and their single-pivot
-    fallback."""
+    """The block exchanges of `_l1_active_set`, its backup that exchanges
+    one index at a time, and the trade of a column in the span of the
+    active ones."""
 
     def from_zero_case(self, seed):
         # a from-zero expansion solve of clash-tau: the top-57 correlations
@@ -463,46 +467,98 @@ class TestBlockPivots:
                                  noise_mode="fixed-norm"))
         return p, top_k_support(p.phi.T @ p.f, 57), 0.5 * p.tau_star
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_from_zero_solve_enters_few_single_indices(self, monkeypatch, seed):
-        # the block pivots answer, so no index enters on its own; pivoting
-        # one index at a time from zero, every nonzero would
-        answers = []
-        block_pivots = pursuit._block_pivots
+    def record_steps(self, monkeypatch):
+        # every step of the backup runs the ratio test; block steps do not
+        steps = []
+        first_zero = pursuit._first_zero
 
         def recording(*args):
-            answers.append(block_pivots(*args))
-            return answers[-1]
+            steps.append(args)
+            return first_zero(*args)
 
-        monkeypatch.setattr(pursuit, "_block_pivots", recording)
+        monkeypatch.setattr(pursuit, "_first_zero", recording)
+        return steps
+
+    def assert_optimal(self, phi_s, f, x, tau):
+        assert np.sum(np.abs(x)) <= tau
+        scale = np.max(np.abs(phi_s.T @ f))
+        assert_kkt(phi_s, f, x, tau, abs_tol=rounding_level(phi_s, x) * scale)
+        ref = lasso_pg_solve(phi_s, f, tau, tol=1e-12).alpha
+        ours = lsq_objective(phi_s, f, x)
+        assert ours <= lsq_objective(phi_s, f, ref) * (1 + 1e-10) + 1e-12 * (f @ f)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_from_zero_solve_enters_few_single_indices(self, monkeypatch, seed):
+        # the block exchanges answer, so no index enters on its own;
+        # pivoting one index at a time from zero, every nonzero would
+        steps = self.record_steps(monkeypatch)
         p, support, tau = self.from_zero_case(derive_seed(808, seed))
         out = _l1_restricted_lsq(p.phi, p.f, support, tau, None)
-        assert len(answers) == 1 and answers[0] is not None
+        assert steps == []
         assert_kkt(p.phi[:, support], p.f, out[support], tau,
                    abs_tol=1e-9 * np.max(np.abs(p.phi[:, support].T @ p.f)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_single_pivot_fallback_finds_the_same_minimizer(self, monkeypatch, seed):
+        # the answers from zero and from a warm start agree, with block
+        # exchanges and with the backup forced from the first step
         p, support, tau = self.from_zero_case(derive_seed(809, seed))
         rng = np.random.default_rng(seed)
         warm = np.zeros(500)
         warm[support[::4]] = rng.normal(size=support[::4].size)
         blocked = [_l1_restricted_lsq(p.phi, p.f, support, tau, w) for w in (None, warm)]
-        monkeypatch.setattr(pursuit, "_block_pivots", lambda *args: None)
+        steps = self.record_steps(monkeypatch)
+        monkeypatch.setattr(pursuit, "_BACKUP", -1)
         single = [_l1_restricted_lsq(p.phi, p.f, support, tau, w) for w in (None, warm)]
-        for a, b in zip(blocked, single):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.max(np.abs(b)))
+        assert steps
+        for out in blocked[1:] + single:
+            np.testing.assert_allclose(out, blocked[0], rtol=0,
+                                       atol=1e-10 * np.max(np.abs(blocked[0])))
 
     def test_single_pivots_return_zero_without_correlation(self, monkeypatch):
         # f is orthogonal to every column: b = Phi_S^T f is rounding noise,
         # about 6e-15 here, within the slack of 4e-14 at tau = 10, and
-        # x = 0 is the answer
+        # x = 0 is the answer, with block exchanges or the backup
         phi, _, _ = gaussian_case(3, m=30, n=12)
         r = np.random.default_rng(3).normal(size=30)
         f = r - phi @ np.linalg.lstsq(phi, r, rcond=None)[0]
-        monkeypatch.setattr(pursuit, "_block_pivots", lambda *args: None)
-        out = _l1_restricted_lsq(phi, f, np.arange(12), 10.0, None)
-        assert np.array_equal(out, np.zeros(12))
+        for backup in (pursuit._BACKUP, -1):
+            monkeypatch.setattr(pursuit, "_BACKUP", backup)
+            out = _l1_restricted_lsq(phi, f, np.arange(12), 10.0, None)
+            assert np.array_equal(out, np.zeros(12))
+
+    def test_backup_after_block_steps_stall(self, monkeypatch):
+        # warm-started from these signs, the block exchanges cycle: they
+        # stop lowering the count of violators on 8 columns of 29 rows and
+        # on 14 of 20, and the backup finishes both; the cycles persist
+        # when tau moves by 1e-6, so they are not rounding
+        steps = self.record_steps(monkeypatch)
+        cases = [
+            (774, 29, 8, 0.5, {0: 1, 1: 1, 5: -1}),
+            (5928, 20, 14, 0.9, {0: 1, 1: -1, 2: -1, 3: -1, 7: 1, 8: -1, 10: 1}),
+        ]
+        for seed, m, n, share, signs in cases:
+            phi, f, _ = gaussian_case(derive_seed(900, seed), m=m, n=n, sigma=0.0)
+            tau = share * np.sum(np.abs(np.linalg.lstsq(phi, f, rcond=None)[0]))
+            warm = np.zeros(n)
+            warm[list(signs)] = list(signs.values())
+            before = len(steps)
+            out = _l1_restricted_lsq(phi, f, np.arange(n), tau, warm)
+            assert len(steps) > before
+            self.assert_optimal(phi, f, out, tau)
+
+    def test_trade_with_more_columns_than_rows(self, monkeypatch):
+        # 20 columns on 12 rows at tau = ||truth||_1: the active set fills
+        # all 12 rows, and a violating column in their span enters by a
+        # trade
+        phi, f, truth = gaussian_case(31, m=12, n=20)
+        trades = []
+        trade = pursuit._trade
+        monkeypatch.setattr(pursuit, "_trade", lambda *a: trades.append(a) or trade(*a))
+        tau = np.sum(np.abs(truth))
+        out = _l1_restricted_lsq(phi, f, np.arange(20), tau, None)
+        assert trades
+        self.assert_optimal(phi, f, out, tau)
 
 
 class TestInputChecks:
