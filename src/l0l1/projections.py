@@ -50,11 +50,18 @@ def top_k_support(w: np.ndarray, k: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    k = min(k, w.size)
-    # stable sort on negated magnitudes: ties keep their original order,
-    # so the lowest index wins
-    order = np.argsort(-np.abs(w), kind="stable")
-    return np.sort(order[:k])
+    if k == 0 or k >= w.size:
+        return np.arange(min(k, w.size))
+    # every magnitude above the k-th largest, then the lowest-index ties
+    # of it; a partition sorts NaN last, so it ranks below every number
+    mags = np.abs(w)
+    kth = -np.partition(-mags, k - 1)[k - 1]
+    if np.isnan(kth):
+        keep, tied = ~np.isnan(mags), np.isnan(mags)
+    else:
+        keep, tied = mags > kth, mags == kth
+    keep[np.flatnonzero(tied)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def l1_project(w: np.ndarray, tau: float) -> np.ndarray:

@@ -111,6 +111,25 @@ class TestHardThreshold:
             top_k_support(w, -1)
         assert top_k_support(w, 0).size == 0
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan])
+            | st.floats(-3.0, 3.0),
+            max_size=40,
+        ),
+        k=st.integers(0, 45),
+    )
+    def test_top_k_support_matches_stable_argsort(self, values, k):
+        # drawn mostly from a few values, so most draws tie at the k-th
+        # magnitude; the stable sort keeps the lowest-index ties and ranks
+        # NaN below every number
+        w = np.array(values, dtype=np.float64)
+        expected = np.sort(np.argsort(-np.abs(w), kind="stable")[:k])
+        got = top_k_support(w, k)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
 
 class TestL1Project:
     def test_derived_example(self):

@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from dataclasses import fields
 
 import numpy as np
@@ -405,8 +406,8 @@ class TestInnerSolveReuse:
     def record_inner_calls(self, monkeypatch):
         calls = []
 
-        def counting(phi, f, support, tau, warm):
-            out = _l1_restricted_lsq(phi, f, support, tau, warm)
+        def counting(phi, f, support, tau, warm, *args):
+            out = _l1_restricted_lsq(phi, f, support, tau, warm, *args)
             calls.append((tau, support.copy(), np.nonzero(out)[0]))
             return out
 
@@ -453,6 +454,124 @@ class TestInnerSolveReuse:
         assert memo.keys() == stored.keys()
         for a, b in zip(first, again):
             assert differing_fields(a, b) == []
+
+
+class TestInverseMemo:
+    """CLASH forms each G_AA^{-1} from scratch at most once per column set
+    while the solve's memo of inverses holds it."""
+
+    def record_formations(self, monkeypatch):
+        # per call of `_formed`: the sorted column ids, whether `_border`
+        # formed an inverse from scratch for it, and the memo's size after
+        formations = []
+        border, formed = pursuit._border, pursuit._formed
+        formed_now = []
+
+        def counting_border(gram, idx, hinv):
+            if hinv.shape[0] == 0:
+                formed_now.append(True)
+            return border(gram, idx, hinv)
+
+        def recording(gram, act, ids, inverses):
+            formed_now.clear()
+            hinv = formed(gram, act, ids, inverses)
+            formations.append((np.sort(ids[act]).tobytes(), bool(formed_now), len(inverses)))
+            return hinv
+
+        monkeypatch.setattr(pursuit, "_border", counting_border)
+        monkeypatch.setattr(pursuit, "_formed", recording)
+        return formations
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("bound", [pursuit._INVERSES, 3])
+    def test_no_set_formed_twice_while_kept(self, monkeypatch, seed, bound):
+        # these solves meet 7 to 16 column sets, so the bound of 3 evicts
+        monkeypatch.setattr(pursuit, "_INVERSES", bound)
+        formations = self.record_formations(monkeypatch)
+        p, tau = half_budget_instance(derive_seed(1, seed))
+        clash_solve(p.phi, p.f, PursuitConfig(sparsity=20, tau=tau))
+        # replay the least-recently-used memo: a set it holds is not formed
+        # again, and one it does not hold is
+        kept, evicted = OrderedDict(), 0
+        for key, formed, size in formations:
+            assert formed == (key not in kept)
+            kept[key] = None
+            kept.move_to_end(key)
+            if len(kept) > bound:
+                kept.popitem(last=False)
+                evicted += 1
+            assert size == len(kept) <= bound
+        hits = sum(not formed for _, formed, _ in formations)
+        assert hits > len(formations) // 3
+        assert evicted > 0 or bound == pursuit._INVERSES
+
+    def test_hit_equals_a_formation_permuted_into_order(self):
+        phi, f, _ = gaussian_case(5, m=40, n=30)
+        support = np.arange(2, 30)
+        gram = phi[:, support].T @ phi[:, support]
+        act = np.random.default_rng(5).permutation(20)
+        inverses = OrderedDict()
+        first = pursuit._formed(gram, np.sort(act), support, inverses)
+        assert not first.flags.writeable
+        hit = pursuit._formed(gram, act, support, inverses)
+        assert len(inverses) == 1
+        fresh = pursuit._border(gram, np.sort(act), np.empty((0, 0)))
+        back = np.argsort(np.argsort(act))
+        assert np.array_equal(first, fresh)
+        assert np.array_equal(hit, fresh[back][:, back])
+        np.testing.assert_allclose(hit @ gram[act][:, act], np.eye(20), atol=1e-9)
+
+    def test_singular_set_is_kept_as_none(self, monkeypatch):
+        phi, f, _ = gaussian_case(6, m=30, n=12)
+        phi[:, 7] = phi[:, 3]
+        gram = phi.T @ phi
+        inverses = OrderedDict()
+        act = np.array([7, 1, 3])
+        assert pursuit._formed(gram, act, np.arange(12), inverses) is None
+        monkeypatch.setattr(pursuit, "_border", None)
+        assert pursuit._formed(gram, act[::-1], np.arange(12), inverses) is None
+        with pytest.raises(RuntimeError, match="singular"):
+            pursuit._from_scratch(gram, act, np.arange(12), inverses)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        steps=st.lists(st.tuples(st.integers(0, 2), st.floats(0.05, 2.0)),
+                       min_size=2, max_size=6),
+        sigma=st.sampled_from([0.0, 0.1]),
+    )
+    def test_property_shared_memo_matches_solves_without_it(self, seed, m, n, steps, sigma):
+        # a sequence of solves on three supports at several budgets, each
+        # warm-started from the answer before, as CLASH's loops run them.
+        # Supports are compared where the minimizer is unique, on at most m
+        # columns, and without the entries of rounding size that a
+        # noiseless fit has off the truth
+        def support_of(x):
+            return np.nonzero(np.abs(x) > 1e-12 * np.max(np.abs(x), initial=0.0))[0]
+
+        phi, f, truth = gaussian_case(seed, m, n, sigma)
+        rng = np.random.default_rng(seed + 2)
+        supports = [np.arange(n)] + [
+            np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+            for _ in range(2)
+        ]
+        inverses = OrderedDict()
+        warm = None
+        for pick, frac in steps:
+            support = supports[pick]
+            tau = frac * np.sum(np.abs(truth)) + 1e-3
+            shared = _l1_restricted_lsq(phi, f, support, tau, warm, inverses)
+            alone = _l1_restricted_lsq(phi, f, support, tau, warm)
+            if support.size <= m:
+                assert np.array_equal(support_of(shared), support_of(alone))
+            assert np.sum(np.abs(shared)) <= tau
+            phi_s = phi[:, support]
+            scale = np.max(np.abs(phi_s.T @ f))
+            assert_kkt(phi_s, f, shared[support], tau,
+                       abs_tol=rounding_level(phi_s, shared[support]) * scale)
+            warm = shared
 
 
 class TestBlockPivots:
