@@ -3,12 +3,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l0l1 import pursuit
 from l0l1.numerics import lp_norm, restricted_lsq
-from l0l1.projections import hard_threshold, top_k_support
+from l0l1.projections import hard_threshold, l1_project, top_k_support
 from l0l1.pursuit import (
     PursuitConfig,
     _clash_loop,
@@ -215,6 +215,145 @@ class TestClash:
             PursuitConfig(sparsity=0)
         with pytest.raises(ValueError):
             PursuitConfig(sparsity=2, tau=-1.0)
+
+    @pytest.mark.parametrize("tau", [10.0, np.inf])
+    def test_extension_when_the_top_k_holds_support_indices(self, monkeypatch, tau):
+        # one correlation off the support {0, 1} is nonzero and k = 3, so the
+        # top 3 take zeros from the support; the extended support is still
+        # the sorted union, each index once
+        phi, f, alpha0 = np.eye(8), np.zeros(8), np.zeros(8)
+        f[[0, 1, 5]] = [2.0, 1.0, 0.5]
+        alpha0[[0, 1]] = [2.0, 1.0]
+        tops, supports = [], []
+        top_k, l1_lsq, lsq = top_k_support, _l1_restricted_lsq, pursuit._restricted_lsq
+        monkeypatch.setattr(pursuit, "top_k_support",
+                            lambda w, k: tops.append(top_k(w, k)) or tops[-1])
+        monkeypatch.setattr(pursuit, "_l1_restricted_lsq",
+                            lambda phi, f, s, *a: supports.append(s) or l1_lsq(phi, f, s, *a))
+        monkeypatch.setattr(pursuit, "_restricted_lsq",
+                            lambda phi, f, s: supports.append(s) or lsq(phi, f, s))
+        _clash_loop(phi, f, 3, tau, alpha0)
+        assert np.array_equal(tops[0], [0, 1, 5])
+        union = np.union1d(np.nonzero(alpha0)[0], tops[0])
+        assert supports[0].dtype == union.dtype
+        assert np.array_equal(supports[0], union)
+
+
+class TestCertificateStop:
+    """The portfolio stops once the duality gap over the l1 ball certifies
+    the best run optimal."""
+
+    @staticmethod
+    def objective(phi, f, a):
+        r = f - phi @ a
+        return 0.5 * float(r @ r)
+
+    @staticmethod
+    def ball_minimizer(p, tau):
+        # lasso_pg_solve finds the support, and the exact solve on it
+        # removes the gap of 1e-10 to 1e-8 at which FISTA stalls here
+        lasso = lasso_pg_solve(p.phi, p.f, tau, tol=1e-12).alpha
+        return _l1_restricted_lsq(p.phi, p.f, np.nonzero(lasso)[0], tau, lasso)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("frac", [0.1, 0.2])
+    def test_gap_within_rounding_at_a_sparse_minimizer(self, seed, frac):
+        p, _ = half_budget_instance(derive_seed(1, seed))
+        tau = frac * p.tau_star
+        best = self.ball_minimizer(p, tau)
+        assert 0 < np.count_nonzero(best) <= 20
+        gap, rounding = pursuit._duality_gap(p.phi, p.f, best, tau)
+        assert 0 < rounding < 1e-13
+        assert gap <= rounding
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gap_bounds_the_excess_objective(self, seed):
+        p, _ = half_budget_instance(derive_seed(1, seed))
+        tau = 0.2 * p.tau_star
+        best = self.ball_minimizer(p, tau)
+        lowest = self.objective(p.phi, p.f, best)
+        rng = np.random.default_rng(seed)
+        points = [
+            np.zeros(200),
+            l1_project(rng.normal(size=200), tau),
+            0.5 * l1_project(p.alpha_star, tau),
+            l1_project(p.alpha_star, tau),
+            lasso_pg_solve(p.phi, p.f, tau, max_iter=3).alpha,
+            l1_project(best + 1e-6 * rng.normal(size=200), tau),
+        ]
+        for a in points:
+            gap, rounding = pursuit._duality_gap(p.phi, p.f, a, tau)
+            excess = self.objective(p.phi, p.f, a) - lowest
+            assert excess > 0
+            assert gap >= excess - rounding - 1e-14 * lowest
+            assert gap > rounding
+
+    def test_binding_budget_solve_runs_one_loop(self, monkeypatch):
+        loops = []
+        clash_loop = pursuit._clash_loop
+        monkeypatch.setattr(pursuit, "_clash_loop",
+                            lambda *a: loops.append(a[3]) or clash_loop(*a))
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 0),
+                                 noise_mode="fixed-norm"))
+        tau = 0.2 * p.tau_star
+        res, _ = clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=tau))
+        assert loops == [tau]
+        gap, rounding = pursuit._duality_gap(p.phi, p.f, res.alpha, tau)
+        assert gap <= rounding
+
+    def test_uncertified_best_run_lets_the_portfolio_go_on(self, monkeypatch):
+        # clash-tau trial 146 of seed 1: member 0 wins with a gap 4.4e9
+        # times its rounding, the smallest of the pass's 52 uncertified
+        # solves, and all four members run
+        loops = []
+        clash_loop = pursuit._clash_loop
+        monkeypatch.setattr(pursuit, "_clash_loop",
+                            lambda *a: loops.append(a[3]) or clash_loop(*a))
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 146),
+                                 noise_mode="fixed-norm"))
+        tau = 0.5 * p.tau_star
+        clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=tau))
+        assert loops.count(tau) == 4
+
+    def test_no_gap_at_infinite_tau(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("duality gap taken at tau = inf")
+
+        monkeypatch.setattr(pursuit, "_duality_gap", refuse)
+        p = desk_instance(derive_seed(200, 1), sigma=0.005)
+        for solve in (sp_solve, clash_solve):
+            solve(p.phi, p.f, PursuitConfig(sparsity=12, tau=np.inf))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 40),
+        n=st.integers(2, 40),
+        k=st.integers(1, 40),
+        frac=st.floats(0.05, 1.0),
+        sigma=st.sampled_from([0.0, 0.01, 0.1]),
+    )
+    # the four cases of a 3,000-instance sweep where a member after the
+    # certified run ends 1 to 6 ulps lower
+    @example(seed=2564042778, m=15, n=37, k=15, frac=0.5253386092000274, sigma=0.1)
+    @example(seed=919167995, m=29, n=38, k=21, frac=0.4718375487280722, sigma=0.01)
+    @example(seed=3970700473, m=26, n=27, k=10, frac=0.8724547798626054, sigma=0.0)
+    @example(seed=2838047900, m=14, n=23, k=4, frac=0.5665393153349662, sigma=0.0)
+    def test_property_stop_keeps_the_portfolio_result(self, seed, m, n, k, frac, sigma):
+        phi, f, truth = gaussian_case(seed, m, n, sigma)
+        cfg = PursuitConfig(sparsity=min(k, m, n), tau=frac * np.sum(np.abs(truth)))
+        stopped, stopped_trace = clash_solve(phi, f, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pursuit, "_duality_gap", lambda *args: (np.inf, 0.0))
+            full, full_trace = clash_solve(phi, f, cfg)
+        if differing_fields(stopped, full):
+            # the full portfolio's winner differs from the certified run by
+            # rounding only
+            assert stopped.residual_l2 <= full.residual_l2 * (1 + 1e-12)
+            np.testing.assert_allclose(stopped.alpha, full.alpha, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(full.alpha)))
+        else:
+            assert differing_fields(stopped_trace, full_trace) == []
 
 
 def lsq_objective(phi_s, f, x):
