@@ -151,11 +151,9 @@ class ExperimentPlan:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.sigma_grid or not self.tau_grid:
             raise ValueError("grids must be nonempty")
-        # written so that NaN fails both
+        # written so that NaN fails
         if not all(t > 0 for t in self.tau_grid):
             raise ValueError(f"tau_grid entries must be positive, got {self.tau_grid}")
-        if not all(s >= 0 for s in self.sigma_grid):
-            raise ValueError(f"sigma_grid entries must be >= 0, got {self.sigma_grid}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
         if self.workers < 1:
@@ -166,13 +164,15 @@ class ExperimentPlan:
         if self.game_rounds is not None and self.game_rounds < 1:
             raise ValueError("game_rounds must be >= 1")
         # the instance settings, checked as each cell will check them
-        ProblemSpec(
-            n=self.n,
-            m=self.m,
-            k=self.k,
-            matrix_scaling=self.matrix_scaling,
-            noise_mode=self.noise_mode,
-        )
+        for sigma in self.sigma_grid:
+            ProblemSpec(
+                n=self.n,
+                m=self.m,
+                k=self.k,
+                sigma=sigma,
+                matrix_scaling=self.matrix_scaling,
+                noise_mode=self.noise_mode,
+            )
 
     @property
     def rounds(self) -> int:

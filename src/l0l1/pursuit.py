@@ -46,20 +46,19 @@ from .results import IterateTrace, SolverResult
 
 
 # Warm-start portfolio for `clash_solve`: (norm-budget schedule, momentum)
-# pairs.  A schedule lists fractions of the final budget tau; its stages
-# approach tau from below so the early ones work under stronger shrinkage,
-# where support identification is easier.  Momentum members compute the
-# expansion gradient at an extrapolated point, which changes the explored
-# support sequence.  The run whose final residual is smallest wins; ties
-# keep the earliest.
+# pairs.  A schedule lists fractions of the final budget tau, ascending
+# inside (0, 1): the early stages work under stronger shrinkage, where
+# support identification is easier, and each stage's answer lies in the
+# next stage's ball, so `_pursue`'s projections return their input.
+# Momentum takes the expansion gradient at an extrapolated point.  The
+# smallest final residual wins, ties keeping the earliest.  ROADMAP item
+# 4(b) records the census that chose these members.
 CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
     ((), False),
     ((0.7, 0.8, 0.9, 0.95), False),
     ((), True),
     ((0.5, 0.65, 0.8, 0.9, 0.96), False),
-    ((0.6, 0.7, 0.78, 0.85, 0.9, 0.94, 0.97, 0.99), False),
     ((0.6, 0.85), False),
-    ((0.7, 0.8, 0.9, 0.95), True),
 )
 
 
@@ -595,13 +594,13 @@ def clash_solve(
 
     The iteration map can stall on fixed points short of the best
     solution near its recovery phase transition, so with a finite tau the
-    solver runs a small deterministic portfolio of warm starts
-    (`CONTINUATION_PORTFOLIO`): each member solves the same problem
-    through a schedule of reduced norm budgets (fractions of tau), with or
-    without momentum in the expansion, ending with the full-budget loop.
-    Every stage iterate is feasible for the final constraint set (stage
-    budgets never exceed tau).  The portfolio stops early once a run
-    reaches a numerically exact fit, once three consecutive members
+    solver runs a deterministic portfolio of five warm starts
+    (`CONTINUATION_PORTFOLIO`): a plain run from zero, one with momentum in
+    the expansion, and three through schedules of reduced norm budgets
+    (fractions of tau) before the full-budget loop.  Every stage iterate
+    is feasible for the final constraint set (stage budgets never exceed
+    tau).  The portfolio stops early once a run reaches a numerically
+    exact fit, once three consecutive members
     fail to improve the best residual meaningfully (the plateau signals a
     noise floor rather than a recovery problem), or once the best run is
     certified optimal: its Frank-Wolfe duality gap over the whole l1 ball,

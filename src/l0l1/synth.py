@@ -30,7 +30,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .numerics import lp_norm, write_matrix, write_vector
+from .numerics import as_matrix, lp_norm, write_matrix, write_vector
 
 # purpose tags for stream addressing
 MATRIX_STREAM = 1
@@ -117,8 +117,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not (1 <= self.k <= self.m <= self.n):
             raise ValueError(f"need 1 <= k <= M <= N, got k={self.k}, M={self.m}, N={self.n}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        # written so that NaN fails
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.matrix_scaling not in (UNIT_VARIANCE, INV_SQRT_M):
             raise ValueError(f"unknown matrix scaling {self.matrix_scaling!r}")
         if self.noise_mode not in ("std", "fixed-norm"):
@@ -182,9 +183,10 @@ def rip_probe(
     Draws `trials` random s-sparse unit-q-norm vectors and returns the
     largest observed deviation |  ||phi a||_q - 1 |.  Because the probes
     are random rather than adversarial this is a LOWER bound on the true
-    constant, never a certificate.
+    constant, never a certificate.  Raises ValueError for a Phi that is
+    not a 2-d matrix with finite entries.
     """
-    phi = np.asarray(phi, dtype=np.float64)
+    phi = as_matrix(phi)
     n = phi.shape[1]
     if not 1 <= s <= n:
         raise ValueError(f"sparsity {s} out of range [1, {n}]")

@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -116,6 +117,7 @@ class TestPlans:
             "tau_grid=nan",
             "sigma_grid=nan",
             "sigma_grid=0,-0.1",
+            "sigma_grid=0.01,inf",
         ],
     )
     def test_plan_file_with_invalid_value_rejected(self, tmp_path, line):
@@ -382,6 +384,18 @@ class TestCli:
         )
         assert rc == 0
         assert "empirical lower bound" in open(tmp_path / "rip.txt").read()
+
+    def test_rip_on_non_finite_matrix_exits_nonzero(self, tmp_path, capsys):
+        # an SPD1 file by hand: write_matrix refuses a NaN entry
+        phi = np.eye(10)
+        phi[2, 5] = np.nan
+        (tmp_path / "phi.bin").write_bytes(
+            b"SPD1" + struct.pack("<QQ", 10, 10) + phi.astype("<f8").tobytes())
+        rc = main(["rip", "--matrix", str(tmp_path / "phi.bin"), "--s", "2",
+                   "--trials", "20", "--out", str(tmp_path / "rip.txt")])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "rip.txt").exists()
 
     def test_unknown_solver_exits_nonzero(self, tmp_path):
         write_matrix(tmp_path / "phi.bin", np.eye(3))

@@ -189,7 +189,7 @@ class TestClash:
         assert res.residual_l2 == res.history[-1]
 
     def test_trace_is_the_winning_members_run(self, monkeypatch):
-        # C6 instance 44: member 2 wins and members 3 to 5 run after it, so
+        # C6 instance 44: member 2 wins and members 3 and 4 run after it, so
         # the reported trace is neither member 0's nor the last run's
         runs = []
         clash_loop = pursuit._clash_loop
@@ -204,11 +204,39 @@ class TestClash:
         res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=62, tau=p.tau_star))
         members = [run for tau, run in runs if tau == p.tau_star]
         winner = min(range(len(members)), key=lambda i: members[i][0].residual_l2)
-        assert winner == 2 and len(members) == 6
+        assert winner == 2 and len(members) == 5
         assert members[winner][1] is trace
         assert len(trace.iterates) == len(res.history) == res.iterations
         assert trace.iterates[-1].tobytes() == res.alpha.tobytes()
         assert res.history[-1] == res.residual_l2
+
+    def test_portfolio_schedules_ascend_inside_the_budget(self):
+        # so each stage's answer lies in the next stage's ball, and the
+        # projections before each loop in `_pursue` return their input
+        for schedule, _ in pursuit.CONTINUATION_PORTFOLIO:
+            assert all(a < b for a, b in zip((0.0,) + schedule, schedule + (1.0,)))
+
+    def test_last_member_can_win(self, monkeypatch):
+        # tau-sweep trial 25 of seed 321 at tau = ||alpha*||_1: all five
+        # members run and the last, stages (0.6, 0.85), ends lowest
+        runs = []
+        clash_loop = pursuit._clash_loop
+
+        def recording(phi, f, k, tau, alpha0, *args):
+            assert np.sum(np.abs(alpha0)) <= tau
+            runs.append((tau, clash_loop(phi, f, k, tau, alpha0, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(pursuit, "_clash_loop", recording)
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(321, 25),
+                                 noise_mode="fixed-norm"))
+        res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=p.tau_star))
+        members = [run for tau, run in runs if tau == p.tau_star]
+        assert len(members) == len(pursuit.CONTINUATION_PORTFOLIO) == 5
+        assert [tau / p.tau_star for tau, _ in runs[-3:-1]] == pytest.approx([0.6, 0.85])
+        assert min(m[0].residual_l2 for m in members[:-1]) > res.residual_l2
+        assert members[-1][1] is trace
+        assert res.residual_l2 == pytest.approx(0.0379564408, rel=1e-6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -108,8 +108,9 @@ class TestGenerate:
             ProblemSpec(n=10, m=20, k=5)
         with pytest.raises(ValueError):
             ProblemSpec(n=30, m=20, k=0)
-        with pytest.raises(ValueError):
-            ProblemSpec(n=30, m=20, k=5, sigma=-1.0)
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                ProblemSpec(n=30, m=20, k=5, sigma=sigma)
         with pytest.raises(ValueError):
             ProblemSpec(n=30, m=20, k=5, matrix_scaling="bogus")
 
@@ -146,6 +147,13 @@ class TestRipProbe:
     def test_bad_sparsity_rejected(self):
         with pytest.raises(ValueError):
             rip_probe(np.eye(5), 6, 2, 10, seed=0)
+
+    def test_non_finite_matrix_rejected(self):
+        # the probes through a NaN column are NaN, and max would drop them
+        phi = np.random.default_rng(5).normal(size=(20, 40)) / np.sqrt(20)
+        phi[3, 7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rip_probe(phi, 4, 2, 50, seed=0)
 
 
 class TestSerialization:
