@@ -149,8 +149,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not self.sigma_grid or not self.tau_grid:
-            raise ValueError("grids must be nonempty")
+        for name in ("solvers", "sigma_grid", "tau_grid"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be nonempty without repeats, got {values}")
         # written so that NaN fails
         if not all(t > 0 for t in self.tau_grid):
             raise ValueError(f"tau_grid entries must be positive, got {self.tau_grid}")

@@ -118,6 +118,10 @@ class TestPlans:
             "sigma_grid=nan",
             "sigma_grid=0,-0.1",
             "sigma_grid=0.01,inf",
+            "sigma_grid=0.01,0.01",
+            "tau_grid=1,2,1",
+            "solvers=sp,sp",
+            "solvers=",
         ],
     )
     def test_plan_file_with_invalid_value_rejected(self, tmp_path, line):

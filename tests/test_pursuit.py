@@ -1,4 +1,3 @@
-from collections import OrderedDict
 from dataclasses import fields
 
 import numpy as np
@@ -623,82 +622,48 @@ class TestInnerSolveReuse:
             assert differing_fields(a, b) == []
 
 
-class TestInverseMemo:
-    """CLASH forms each G_AA^{-1} from scratch at most once per column set
-    while the solve's memo of inverses holds it."""
+class TestFaceCheck:
+    """`_l1_active_set` accepts an answer on the face equations computed
+    from G, so an inverse that its updates drifted needs no re-check from
+    scratch; a failed check forms G_AA^{-1} from scratch and steps again."""
 
-    def record_formations(self, monkeypatch):
-        # per call of `_formed`: the sorted column ids, whether `_border`
-        # formed an inverse from scratch for it, and the memo's size after
-        formations = []
-        border, formed = pursuit._border, pursuit._formed
-        formed_now = []
-
-        def counting_border(gram, idx, hinv):
-            if hinv.shape[0] == 0:
-                formed_now.append(True)
-            return border(gram, idx, hinv)
-
-        def recording(gram, act, ids, inverses):
-            formed_now.clear()
-            hinv = formed(gram, act, ids, inverses)
-            formations.append((np.sort(ids[act]).tobytes(), bool(formed_now), len(inverses)))
-            return hinv
-
-        monkeypatch.setattr(pursuit, "_border", counting_border)
-        monkeypatch.setattr(pursuit, "_formed", recording)
-        return formations
-
-    @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("bound", [pursuit._INVERSES, 3])
-    def test_no_set_formed_twice_while_kept(self, monkeypatch, seed, bound):
-        # these solves meet 7 to 16 column sets, so the bound of 3 evicts
-        monkeypatch.setattr(pursuit, "_INVERSES", bound)
-        formations = self.record_formations(monkeypatch)
-        p, tau = half_budget_instance(derive_seed(1, seed))
-        clash_solve(p.phi, p.f, PursuitConfig(sparsity=20, tau=tau))
-        # replay the least-recently-used memo: a set it holds is not formed
-        # again, and one it does not hold is
-        kept, evicted = OrderedDict(), 0
-        for key, formed, size in formations:
-            assert formed == (key not in kept)
-            kept[key] = None
-            kept.move_to_end(key)
-            if len(kept) > bound:
-                kept.popitem(last=False)
-                evicted += 1
-            assert size == len(kept) <= bound
-        hits = sum(not formed for _, formed, _ in formations)
-        assert hits > len(formations) // 3
-        assert evicted > 0 or bound == pursuit._INVERSES
-
-    def test_hit_equals_a_formation_permuted_into_order(self):
-        phi, f, _ = gaussian_case(5, m=40, n=30)
-        support = np.arange(2, 30)
-        gram = phi[:, support].T @ phi[:, support]
-        act = np.random.default_rng(5).permutation(20)
-        inverses = OrderedDict()
-        first = pursuit._formed(gram, np.sort(act), support, inverses)
-        assert not first.flags.writeable
-        hit = pursuit._formed(gram, act, support, inverses)
-        assert len(inverses) == 1
-        fresh = pursuit._border(gram, np.sort(act), np.empty((0, 0)))
-        back = np.argsort(np.argsort(act))
-        assert np.array_equal(first, fresh)
-        assert np.array_equal(hit, fresh[back][:, back])
-        np.testing.assert_allclose(hit @ gram[act][:, act], np.eye(20), atol=1e-9)
-
-    def test_singular_set_is_kept_as_none(self, monkeypatch):
+    def test_singular_set_raises(self):
         phi, f, _ = gaussian_case(6, m=30, n=12)
         phi[:, 7] = phi[:, 3]
         gram = phi.T @ phi
-        inverses = OrderedDict()
-        act = np.array([7, 1, 3])
-        assert pursuit._formed(gram, act, np.arange(12), inverses) is None
-        monkeypatch.setattr(pursuit, "_border", None)
-        assert pursuit._formed(gram, act[::-1], np.arange(12), inverses) is None
+        assert pursuit._border(gram, np.array([7, 1, 3]), np.empty((0, 0))) is None
         with pytest.raises(RuntimeError, match="singular"):
-            pursuit._from_scratch(gram, act, np.arange(12), inverses)
+            pursuit._from_scratch(gram, np.array([7, 1, 3]))
+
+    @pytest.mark.parametrize("backup", [pursuit._BACKUP, -1])
+    @pytest.mark.parametrize("tau", [0.95, 1.0, 1.5550600858048211])
+    def test_ill_conditioned_square_case(self, monkeypatch, backup, tau):
+        # noiseless 3 x 3 with ||truth||_1 = 0.89 inside every ball, an
+        # ill-conditioned fit: pivoting that re-checked each answer on an
+        # inverse formed from scratch cycled here until the pivot cap, with
+        # block exchanges and with the backup alone
+        monkeypatch.setattr(pursuit, "_BACKUP", backup)
+        phi, f, _ = gaussian_case(1796611836, m=3, n=3, sigma=0.0)
+        out = _l1_restricted_lsq(phi, f, np.arange(3), tau, None)
+        assert np.sum(np.abs(out)) <= tau
+        assert_kkt(phi, f, out, tau,
+                   abs_tol=rounding_level(phi, out) * np.max(np.abs(phi.T @ f)))
+
+    @pytest.mark.parametrize(
+        "n, m, k, seed, mult",
+        [(7, 3, 2, 202, 1.5), (5, 4, 3, 689, 1.0), (15, 11, 7, 287, 1.5),
+         (7, 7, 4, 900, 1.0)],
+    )
+    def test_small_noiseless_clash_solves(self, n, m, k, seed, mult):
+        # inner solves that re-checked each answer on an inverse formed from
+        # scratch raised on these: three at the pivot cap, and
+        # (15, 11, 7, 287) on a singular active set of 11 columns
+        p = generate(ProblemSpec(n=n, m=m, k=k, sigma=0.0, seed=seed))
+        tau = mult * p.tau_star
+        res, _ = clash_solve(p.phi, p.f, PursuitConfig(sparsity=k, tau=tau))
+        assert np.all(np.isfinite(res.alpha))
+        assert np.count_nonzero(res.alpha) <= k
+        assert np.sum(np.abs(res.alpha)) <= tau
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -709,12 +674,12 @@ class TestInverseMemo:
                        min_size=2, max_size=6),
         sigma=st.sampled_from([0.0, 0.1]),
     )
-    def test_property_shared_memo_matches_solves_without_it(self, seed, m, n, steps, sigma):
+    def test_property_warm_started_sequence(self, seed, m, n, steps, sigma):
         # a sequence of solves on three supports at several budgets, each
-        # warm-started from the answer before, as CLASH's loops run them.
-        # Supports are compared where the minimizer is unique, on at most m
-        # columns, and without the entries of rounding size that a
-        # noiseless fit has off the truth
+        # warm-started from the answer before, as CLASH's loops run them,
+        # against the same solves from zero.  Supports are compared where
+        # the minimizer is unique, on at most m columns, and without the
+        # entries of rounding size that a noiseless fit has off the truth
         def support_of(x):
             return np.nonzero(np.abs(x) > 1e-12 * np.max(np.abs(x), initial=0.0))[0]
 
@@ -724,21 +689,20 @@ class TestInverseMemo:
             np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
             for _ in range(2)
         ]
-        inverses = OrderedDict()
         warm = None
         for pick, frac in steps:
             support = supports[pick]
             tau = frac * np.sum(np.abs(truth)) + 1e-3
-            shared = _l1_restricted_lsq(phi, f, support, tau, warm, inverses)
-            alone = _l1_restricted_lsq(phi, f, support, tau, warm)
+            warmed = _l1_restricted_lsq(phi, f, support, tau, warm)
+            cold = _l1_restricted_lsq(phi, f, support, tau, None)
             if support.size <= m:
-                assert np.array_equal(support_of(shared), support_of(alone))
-            assert np.sum(np.abs(shared)) <= tau
+                assert np.array_equal(support_of(warmed), support_of(cold))
+            assert np.sum(np.abs(warmed)) <= tau
             phi_s = phi[:, support]
             scale = np.max(np.abs(phi_s.T @ f))
-            assert_kkt(phi_s, f, shared[support], tau,
-                       abs_tol=rounding_level(phi_s, shared[support]) * scale)
-            warm = shared
+            assert_kkt(phi_s, f, warmed[support], tau,
+                       abs_tol=rounding_level(phi_s, warmed[support]) * scale)
+            warm = warmed
 
 
 class TestBlockPivots:
@@ -783,6 +747,20 @@ class TestBlockPivots:
         assert steps == []
         assert_kkt(p.phi[:, support], p.f, out[support], tau,
                    abs_tol=1e-9 * np.max(np.abs(p.phi[:, support].T @ p.f)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_from_zero_solve_forms_only_its_warm_start(self, monkeypatch, seed):
+        # the block exchanges end on an updated inverse, and the face
+        # equations accept their answer: the warm start's `_border` call is
+        # the only formation from scratch.  The answers' optimality is
+        # checked on the same cases above
+        formations = []
+        from_scratch = pursuit._from_scratch
+        monkeypatch.setattr(pursuit, "_from_scratch",
+                            lambda gram, act: formations.append(act) or from_scratch(gram, act))
+        p, support, tau = self.from_zero_case(derive_seed(808, seed))
+        _l1_restricted_lsq(p.phi, p.f, support, tau, None)
+        assert formations == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_single_pivot_fallback_finds_the_same_minimizer(self, monkeypatch, seed):
