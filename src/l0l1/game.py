@@ -46,7 +46,7 @@ from .bregman import (
     simplex_to_dual,
     uniform_simplex_weights,
 )
-from .numerics import as_system, lp_norm
+from .numerics import as_system, check_integer, lp_norm
 from .projections import clip_into_l1_ball
 from .results import SolverResult
 
@@ -63,6 +63,7 @@ class GameConfig:
     tau: float = 1.0
 
     def __post_init__(self):
+        check_integer("rounds", self.rounds)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not (self.q == 2 or np.isinf(self.q)):

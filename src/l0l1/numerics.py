@@ -44,6 +44,12 @@ def as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
     return phi, f
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a count setting that is not an integer, naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_index_set(support, n: int) -> np.ndarray:
     """Validate a support set: sorted, distinct column indices in [0, n)."""
     s = np.asarray(support, dtype=np.int64).ravel()

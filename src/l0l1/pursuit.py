@@ -11,14 +11,16 @@
   least squares on at most 2k columns, solved exactly by block principal
   pivoting on the sign pattern with a one-index-at-a-time backup,
   warm-started from the previous iterate, and each distinct one is
-  solved once per `clash_solve` call.  An inner answer is accepted once
-  its optimality conditions, computed from the Gram block, hold to
-  rounding, however the updated inverse G_AA^{-1} it was reached with
-  drifted.  With tau = inf the inner solves collapse to plain restricted
-  least squares, solved directly (`numerics.restricted_lsq`), and the
-  loop is subspace pursuit's.  At a finite tau a portfolio of warm starts runs, and it
-  stops once the Frank-Wolfe duality gap over the whole l1 ball certifies
-  the best run, a k-sparse point, as the ball's minimizer to rounding
+  solved once per `clash_solve` call.  The step-2 solve starts from the
+  G_AA^{-1} that the previous iterate's solve ended on.  An inner answer
+  is accepted once its optimality conditions, computed from the Gram
+  block, hold to rounding, however the updated inverse G_AA^{-1} it was
+  reached with drifted.  With tau = inf the inner solves collapse to
+  plain restricted least squares, solved directly
+  (`numerics.restricted_lsq`), and the loop is subspace pursuit's.  At a
+  finite tau a loop stops on an iterate, and the portfolio of warm starts
+  on its best run, once the Frank-Wolfe duality gap over the whole l1
+  ball certifies that k-sparse point as the ball's minimizer to rounding
   (`_duality_gap`): it then solves the joint problem.
 * `lasso_pg_solve` - monotone FISTA with adaptive restart over the full
   coordinate space, with the l1 ball projection and step 1/L.
@@ -28,8 +30,9 @@
 
 All top-k selections break magnitude ties toward the lowest index, so
 every solver is deterministic given its inputs.  Every solver rejects a
-non-finite Phi or f, and an f whose length is not Phi's row count, with
-ValueError.
+non-finite Phi or f, an f whose length is not Phi's row count, and a Phi
+whose squared column norms overflow, with ValueError.  Their stop tests
+are relative, so scaling Phi by c scales the answer by 1/c.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _restricted_lsq, as_system, independent
+from .numerics import _restricted_lsq, as_system, check_integer, independent
 from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
 from .results import IterateTrace, SolverResult
 
@@ -87,6 +90,7 @@ class PursuitConfig:
     tau: float = np.inf
 
     def __post_init__(self):
+        check_integer("sparsity", self.sparsity)
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
         if not self.tau > 0:
@@ -103,10 +107,20 @@ class ContractionReport:
     violations: list[tuple[int, float, float]]
 
 
+def _as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
+    """`numerics.as_system`, and ValueError if a squared column norm of Phi
+    overflows: the products the solvers form would hold inf or NaN."""
+    phi, f = as_system(phi, f)
+    if not np.all(np.isfinite(np.einsum("ij,ij->j", phi, phi))):
+        raise ValueError("Phi's squared column norms overflow float64")
+    return phi, f
+
+
 def _check_sparsity(k: int, phi: np.ndarray) -> None:
-    """Reject a sparsity below 1, or above min(M, N): no more columns than
-    Phi has, and no more than its rows, the most a least-squares fit
-    determines."""
+    """Reject a sparsity that is not an integer, below 1, or above
+    min(M, N): no more columns than Phi has, and no more than its rows,
+    the most a least-squares fit determines."""
+    check_integer("sparsity", k)
     if k < 1:
         raise ValueError(f"sparsity must be >= 1, got {k}")
     if k > min(phi.shape):
@@ -120,7 +134,7 @@ def _power_iter_cols(a: np.ndarray, iters: int = 20, rel_tol: float = 1e-6) -> f
     Power iteration from the uniform unit vector.  When that vector lies
     in A's null space, it runs again from the unit vector of A's longest
     column, so the estimate is positive whenever A is nonzero (short of
-    underflow).
+    underflow).  Raises ValueError if the estimate overflows.
     """
     n = a.shape[1]
     lam = _power_iter(a, np.full(n, 1.0 / np.sqrt(n)), iters, rel_tol)
@@ -136,8 +150,11 @@ def _power_iter(a: np.ndarray, v: np.ndarray, iters: int, rel_tol: float) -> flo
     null space."""
     lam = 0.0
     for _ in range(iters):
-        w = a.T @ (a @ v)
-        nw = float(np.sqrt(w @ w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = a.T @ (a @ v)
+            nw = float(np.sqrt(w @ w))
+        if not np.isfinite(nw):
+            raise ValueError("power iteration on Phi^T Phi overflows float64")
         if nw == 0.0:
             return 0.0
         v = w / nw
@@ -153,32 +170,39 @@ def _l1_restricted_lsq(
     support: np.ndarray,
     tau: float,
     warm: np.ndarray | None,
-) -> np.ndarray:
+    factor: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Exact minimizer of ||f - Phi v||_2^2 over supp(v) in `support`,
-    ||v||_1 <= tau.
+    ||v||_1 <= tau, and its factorization.
 
     G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and block
     principal pivoting on the sign pattern finds the minimizer,
     warm-started from the signs of `warm`; the support may hold more
-    columns than Phi has rows (see `_l1_active_set`).  The answer is
-    accepted on its optimality conditions computed from G and b, so it is
-    the minimizer to rounding however the updates of G_AA^{-1} drifted.
-    When the unconstrained least-squares fit lies inside the ball the
-    method ends at it, off the l1 sphere; when it lies outside, even by
-    rounding, it ends on the sphere.  Returns a full-length vector, zero
-    off the support, whose l1 norm summed over the full length is at most
-    tau.
+    columns than Phi has rows (see `_l1_active_set`).  `factor`, if
+    given, is (columns, G_AA^{-1}) for exactly the nonzeros of `warm`, in
+    the columns' order, and the pivoting starts from it instead of
+    forming that inverse from scratch; `support` must then be sorted.  The
+    answer is accepted on its optimality conditions computed from G and
+    b, so it is the minimizer to rounding however the updates of G_AA^{-1}
+    drifted.  When the unconstrained least-squares fit lies inside the
+    ball the method ends at it, off the l1 sphere; when it lies outside,
+    even by rounding, it ends on the sphere.  Returns a full-length
+    vector, zero off the support, whose l1 norm summed over the full
+    length is at most tau, and the final (columns, G_AA^{-1}) of the
+    pivoting, in the same form as `factor`.
     """
     m, n = phi.shape
     out = np.zeros(n)
     if support.size == 0:
-        return out
+        return out, (support, np.empty((0, 0)))
     a_s = phi[:, support]
     gram = a_s.T @ a_s
     b = a_s.T @ f
     start = np.zeros(support.size) if warm is None else warm[support]
-    out[support] = _l1_active_set(gram, b, tau, start, m)
-    return clip_into_l1_ball(out, tau)
+    if factor is not None:
+        factor = np.searchsorted(support, factor[0]), factor[1]
+    out[support], act, hinv = _l1_active_set(gram, b, tau, start, m, factor)
+    return clip_into_l1_ball(out, tau), (support[act], hinv)
 
 
 # Columns per block when G_AA^{-1} is formed from scratch, chosen by
@@ -202,11 +226,13 @@ def _border(gram: np.ndarray, idx: np.ndarray, hinv: np.ndarray) -> np.ndarray |
     h[:m, :m] = hinv
     for p in range(m, n, _BLOCK):
         q = min(p + _BLOCK, n)
-        old, new = idx[:p], idx[p:q]
-        cross = gram[old][:, new]
+        new = idx[p:q]
+        # G is symmetric: the new rows hold both G_A,new and G_new,new
+        rows = gram[new]
+        cross = rows[:, idx[:p]].T
         c = h[:p, :p] @ cross
-        schur = gram[new][:, new] - cross.T @ c
-        if not independent(schur, np.diag(gram)[new]):
+        schur = rows[:, new] - cross.T @ c
+        if not independent(schur, gram.diagonal()[new]):
             return None
         s_inv = np.linalg.inv(schur)
         cs = c @ s_inv
@@ -257,8 +283,12 @@ def _trade(
     and xa + t d, d = -s_j G_AA^{-1} G_Aj, lower ||x||_1 until a coordinate
     of A reaches zero; it leaves.  Returns the new act, sgn and xa."""
     step, i = _first_zero(xa, sgn, d)
-    xa = np.append(np.delete(xa + step * d, i), step * sj)
-    return np.append(np.delete(act, i), j), np.append(np.delete(sgn, i), sj), xa
+    xa = np.concatenate((np.delete(xa + step * d, i), [step * sj]))
+    return (
+        np.concatenate((np.delete(act, i), [j])),
+        np.concatenate((np.delete(sgn, i), [sj])),
+        xa,
+    )
 
 
 # Block exchanges in a row that do not lower the count of violated
@@ -273,8 +303,10 @@ def _l1_active_set(
     tau: float,
     start: np.ndarray,
     rows: int,
-) -> np.ndarray:
-    """Exact minimizer of 1/2 x^T G x - b^T x over ||x||_1 <= tau.
+    factor: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact minimizer of 1/2 x^T G x - b^T x over ||x||_1 <= tau, with
+    the final ordered active positions A and the G_AA^{-1} it ended on.
 
     Block principal pivoting on the sign pattern (Kim & Park 2011): the
     state is an active set A with signs s, each step solves the face
@@ -295,26 +327,34 @@ def _l1_active_set(
     not its updates by `_border` and `_remove`, which can drift.  When
     no index enters or leaves, x is returned if the inverse is fresh or
     the face equations hold, |g_A - lam s_A| within the entry test's
-    tolerance; with g computed from G, not from G_AA^{-1}, those are the
-    optimality conditions themselves.  Only a failed check forms the
-    inverse from scratch and steps again.
+    rounding tolerance (without its 1e-10 lam margin); with g computed
+    from G, not from G_AA^{-1}, those are the optimality conditions
+    themselves, to rounding.  Only a failed check forms the inverse from
+    scratch and steps again.
 
-    Starts from the signs of `start`, or from A empty if their Gram block
-    is singular, as it is with more nonzeros than `rows`.  Raises
-    RuntimeError after 20|S| + 50 steps, or if G_AA^{-1} formed from
-    scratch is singular or indefinite.
+    Starts from the signs of `start`: on `factor` = (positions, G_AA^{-1})
+    of exactly its nonzeros, in that order, if given, which is then not
+    fresh, so the face check guards the answer; else on G_AA^{-1} formed
+    from scratch, or from A empty if that Gram block is singular, as it
+    is with more nonzeros than `rows`.  The inverse returned can be handed
+    back as `factor` to a solve on another support holding A's columns.
+    Raises RuntimeError after 20|S| + 50 steps, or if G_AA^{-1} formed
+    from scratch is singular or indefinite.
     """
-    size, g_max = b.size, np.max(np.diag(gram))
+    size, g_max = b.size, gram.diagonal().max()
     # rounding bound of g_j = b_j - G_j x, |S| terms with ||x||_1 <= tau;
     # the error of x_A adds the same amplified by the condition number of
     # G_AA, estimated at each step as g_max max(diag(G_AA^{-1}))
     slack = size * np.finfo(np.float64).eps * (np.max(np.abs(b)) + g_max * tau)
-    act = np.nonzero(start)[0]
+    if factor is None:
+        act = np.nonzero(start)[0]
+        hinv = _border(gram, act, np.empty((0, 0))) if act.size <= rows else None
+        if hinv is None:
+            act, hinv = act[:0], np.empty((0, 0))
+    else:
+        act, hinv = factor
     sgn = np.sign(start[act])
-    hinv = _border(gram, act, np.empty((0, 0))) if act.size <= rows else None
-    if hinv is None:
-        act, sgn, hinv = act[:0], sgn[:0], np.empty((0, 0))
-    fresh, fewest, backup, entered = True, size + 1, _BACKUP, -1
+    fresh, fewest, backup, entered = factor is None, size + 1, _BACKUP, -1
     barred = np.zeros(size, dtype=bool)
     # the iterate of the single exchanges; None while block exchanges run
     xa = None
@@ -351,13 +391,13 @@ def _l1_active_set(
         excess[act] = -np.inf
         excess[barred] = -np.inf
         tol = slack * (1.0 + g_max * (hinv.diagonal().max() if act.size else 0.0))
-        tol += 1e-10 * lam
-        enter = np.nonzero(excess > tol)[0]
+        enter = np.nonzero(excess > tol + 1e-10 * lam)[0]
         leave = np.nonzero(sgn * za < 0.0)[0]
         if enter.size == 0 and leave.size == 0:
-            # the face equations g_A = lam s_A, with g computed from G
+            # the face equations g_A = lam s_A, with g computed from G, to
+            # rounding
             if fresh or np.all(np.abs(g[act] - lam * sgn) <= tol):
-                return x
+                return x, act, hinv
             hinv, fresh = _from_scratch(gram, act), True
             continue
         if xa is None:
@@ -373,12 +413,13 @@ def _l1_active_set(
                 keep, hinv = _remove(hinv, leave)
                 act, sgn = act[keep], sgn[keep]
             if act.size + enter.size <= rows:
-                grown = _border(gram, np.append(act, enter), hinv)
+                grown = _border(gram, np.concatenate((act, enter)), hinv)
         if grown is not None:
-            act, sgn = np.append(act, enter), np.append(sgn, np.sign(g[enter]))
+            act = np.concatenate((act, enter))
+            sgn = np.concatenate((sgn, np.sign(g[enter])))
             hinv, fresh = grown, False
             if xa is not None:
-                xa, entered = np.append(xa, 0.0), enter[0]
+                xa, entered = np.concatenate((xa, [0.0])), enter[0]
             continue
         if xa is None:
             # the backup, from x = 0 on an inverse formed from scratch
@@ -427,21 +468,31 @@ def _clash_loop(
     alpha0: np.ndarray,
     momentum: bool = False,
     memo: dict | None = None,
-) -> tuple[SolverResult, IterateTrace]:
+    factor: tuple[np.ndarray, np.ndarray] | None = None,
+    factors: dict | None = None,
+) -> tuple[SolverResult, IterateTrace, tuple[np.ndarray, np.ndarray] | None]:
     """The four-step iteration at a fixed budget (k, tau), from alpha0.
 
-    Returns the result and the trace of the run.  The result holds the
-    last iterate with its residual norm ||f - Phi alpha||_2, the residual
-    norm of every iterate as history, the iteration count and the
-    termination reason; the trace holds every iterate with its support
-    and its distance from the one before.
+    Returns the result, the trace of the run and the factorization of its
+    last iterate.  The result holds the last iterate with its residual
+    norm ||f - Phi alpha||_2, the residual norm of every iterate as
+    history, the iteration count and the termination reason; the trace
+    holds every iterate with its support and its distance from the one
+    before.
 
     With `momentum` the expansion gradient is taken at an extrapolation of
     the last two iterates instead of the current one; the descent,
     selection, and de-bias steps are unchanged, so iterate feasibility and
     the <= 2k extended-support bound still hold.  The expansion ranks the
-    residual correlations Phi^T (f - Phi alpha), the negative gradient, off
-    the support.
+    residual correlations g = Phi^T (f - Phi alpha), the negative
+    gradient, off the support.
+
+    At a finite tau and without momentum, every iterate after the first
+    iteration is tested on that g before the next: once its duality gap
+    over the whole tau-ball is within the gap's rounding
+    (`_duality_gap`), alpha minimizes over the ball, so over every
+    extended support, and the next iteration would return it again.  The
+    loop then ends with "certified", counting the iterations run.
 
     With tau = inf the inner solves are plain restricted least squares and
     the loop is subspace pursuit, stop rule included: an iterate whose
@@ -457,16 +508,29 @@ def _clash_loop(
     loop or in another sharing `memo`, is not solved again.  The
     minimizer is unique while G_SS is nonsingular, so the warm start of a
     repeat would change its rounding only.
+
+    The factorization of an iterate is the (columns, G_AA^{-1}) that its
+    inner solve ended on (`_l1_restricted_lsq`); `factors` keeps it under
+    the memo's key for answers with at most k nonzeros, the ones that can
+    become iterates, so a memo hit has it too.  Step 2 starts from the
+    iterate's factorization when its columns are exactly the iterate's
+    nonzeros: `factor` for alpha0, then each iterate's own.  The de-bias
+    forms its warm start from scratch.  At tau = inf there is none.
     """
     norm_active = np.isfinite(tau)
     memo = {} if memo is None else memo
+    factors = {} if factors is None else factors
 
-    def inner(support: np.ndarray, warm: np.ndarray) -> np.ndarray:
+    def inner(support: np.ndarray, warm: np.ndarray, warm_factor=None):
         key = (tau, support.tobytes())
         values = memo.get(key)
         if values is None:
             if norm_active:
-                solved = _l1_restricted_lsq(phi, f, support, tau, warm)
+                solved, formed = _l1_restricted_lsq(
+                    phi, f, support, tau, warm, warm_factor
+                )
+                if np.count_nonzero(solved) <= k:
+                    factors[key] = formed
             else:
                 solved = _restricted_lsq(phi, f, support)
             values = solved[support]
@@ -474,8 +538,9 @@ def _clash_loop(
             memo[key] = values
         out = np.zeros(phi.shape[1])
         out[support] = values
-        return out
+        return out, factors.get(key)
 
+    certify = norm_active and not momentum
     alpha = alpha0
     alpha_prev = alpha0
     support = np.nonzero(alpha)[0]
@@ -490,6 +555,11 @@ def _clash_loop(
             corr = phi.T @ (f - phi @ probe)
         else:
             corr = phi.T @ residual
+            if certify and it > 0:
+                gap, rounding = _duality_gap(phi, f, alpha, tau, corr)
+                if gap <= rounding:
+                    termination = "certified"
+                    break
         corr[support] = 0.0
         # restricted least squares takes at most M columns, so with 2k > M
         # the expansion at tau = inf adds only M - |support| of them
@@ -500,14 +570,16 @@ def _clash_loop(
         mark[support] = True
         mark[top_k_support(corr, grow)] = True
         extended = np.flatnonzero(mark)
-        v = inner(extended, alpha)
+        if factor is not None and not np.array_equal(np.sort(factor[0]), support):
+            factor = None
+        v, factor_new = inner(extended, alpha, factor)
         if np.count_nonzero(v) <= k:
             # pruning keeps all of v, which then also minimizes over its own
             # support: the de-bias would return it again
             alpha_new = v
         else:
             gamma = hard_threshold(v, k)
-            alpha_new = inner(np.nonzero(gamma)[0], gamma)
+            alpha_new, factor_new = inner(np.nonzero(gamma)[0], gamma)
         residual_new = f - phi @ alpha_new
         res_norm_new = float(np.sqrt(residual_new @ residual_new))
         if not norm_active and res_norm_new > res_norm:
@@ -515,14 +587,16 @@ def _clash_loop(
             break
         delta = float(np.sqrt(np.sum((alpha_new - alpha) ** 2)))
         alpha_prev = alpha
-        alpha, support = alpha_new, np.nonzero(alpha_new)[0]
+        alpha, support, factor = alpha_new, np.nonzero(alpha_new)[0], factor_new
         residual, res_norm = residual_new, res_norm_new
         history.append(res_norm)
         trace.record(support, delta, alpha)
-        if delta <= _TOLERANCE * max(float(np.sqrt(alpha @ alpha)), 1e-12):
+        if delta <= _TOLERANCE * float(np.sqrt(alpha @ alpha)):
             termination = "converged"
             break
-    return SolverResult(alpha, res_norm, res_norm, history, it + 1, termination), trace
+    iterations = it if termination == "certified" else it + 1
+    result = SolverResult(alpha, res_norm, res_norm, history, iterations, termination)
+    return result, trace, factor
 
 
 def clash_solve(
@@ -541,15 +615,19 @@ def clash_solve(
     (`_l1_restricted_lsq`) by block principal pivoting on the sign
     pattern, warm-started from the current iterate (step 2) or the pruned
     vector (step 4); it raises RuntimeError if it fails to reach the
-    optimum.  Step 4 is skipped when pruning keeps every nonzero of the
-    step-2 answer, which is then already the de-biased iterate, and each
-    distinct (budget, support) problem is solved once per call, however
-    many loops of the portfolio meet it.  An inner answer is accepted once
-    its optimality conditions, computed from G_SS, hold to rounding.  The
-    loop stops once the relative iterate change is at most 1e-6, or after
-    100 iterations.  With tau = inf steps 2 and 4 are plain restricted
-    least squares, the loop stops as subspace pursuit does, and the result
-    is `sp_solve`'s.
+    optimum.  Step 2 starts from the G_AA^{-1} on the iterate's nonzeros
+    that the iterate's own solve ended on, and the face check guards its
+    answer; step 4 forms its warm start's inverse from scratch.  Step 4 is
+    skipped when pruning keeps every nonzero of the step-2 answer, which
+    is then already the de-biased iterate, and each distinct (budget,
+    support) problem is solved once per call, however many loops of the
+    portfolio meet it.  An inner answer is accepted once its optimality
+    conditions, computed from G_SS, hold to rounding.  The loop stops once
+    the relative iterate change is at most 1e-6, after 100 iterations,
+    or, without momentum, once the duality gap below certifies an iterate
+    after the first iteration: the next iteration would return it again.
+    With tau = inf steps 2 and 4 are plain restricted least squares, the
+    loop stops as subspace pursuit does, and the result is `sp_solve`'s.
 
     The iteration map can stall on fixed points short of the best
     solution near its recovery phase transition, so with a finite tau the
@@ -578,7 +656,11 @@ def clash_solve(
 
 
 def _duality_gap(
-    phi: np.ndarray, f: np.ndarray, alpha: np.ndarray, tau: float
+    phi: np.ndarray,
+    f: np.ndarray,
+    alpha: np.ndarray,
+    tau: float,
+    g: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Frank-Wolfe duality gap of alpha for min 1/2 ||f - Phi a||_2^2 over
     ||a||_1 <= tau (Jaggi 2013), and the rounding bound of its computation.
@@ -588,9 +670,11 @@ def _duality_gap(
     1/2 ||f - Phi alpha||_2^2 - P*, P* the minimum over the whole ball, and
     it is 0 at a minimizer.  The bound, M eps (tau ||g||_inf + |g|^T |alpha|)
     with M = Phi's row count, is the rounding of a gap computed at a
-    minimizer: each g_j sums M products.
+    minimizer: each g_j sums M products.  `g`, if given, is that negative
+    gradient, already computed.
     """
-    g = phi.T @ (f - phi @ alpha)
+    if g is None:
+        g = phi.T @ (f - phi @ alpha)
     top = tau * float(np.max(np.abs(g)))
     scale = top + float(np.abs(g) @ np.abs(alpha))
     return top - float(g @ alpha), phi.shape[0] * np.finfo(np.float64).eps * scale
@@ -611,23 +695,30 @@ def _pursue(
     rounding, so the full portfolio would return the same result up to
     rounding: on 3,000 random instances with M, N <= 40 it did in all but
     4, whose winners ended 1 to 6 ulps lower.  The gap costs one product
-    with Phi and one with Phi^T, taken when the best run changes."""
-    phi, f = as_system(phi, f)
+    with Phi and one with Phi^T, taken when the best run changes.
+
+    Each stage loop of a member hands the factorization of its last
+    iterate (`_clash_loop`) to the next, whose first step-2 solve starts
+    from it; `memo` and `factors` are shared by every loop of the call."""
+    phi, f = _as_system(phi, f)
     _check_sparsity(k, phi)
     n = phi.shape[1]
     finite = np.isfinite(tau)
     portfolio = CONTINUATION_PORTFOLIO if finite else (((), False),)
-    exact_fit = 1e-6 * max(float(np.sqrt(f @ f)), 1e-12)
+    exact_fit = 1e-6 * float(np.sqrt(f @ f))
     best: tuple[SolverResult, IterateTrace] | None = None
     stalls, certified = 0, False
     memo: dict = {}
+    factors: dict = {}
     for schedule, momentum in portfolio:
-        alpha = np.zeros(n)
+        alpha, factor = np.zeros(n), None
         for budget in [fraction * tau for fraction in schedule] + [tau]:
-            run = _clash_loop(
-                phi, f, k, budget, l1_project(alpha, budget), momentum, memo
+            result, trace, factor = _clash_loop(
+                phi, f, k, budget, l1_project(alpha, budget), momentum, memo,
+                factor, factors,
             )
-            alpha = run[0].alpha
+            alpha = result.alpha
+        run = result, trace
         res_norm = run[0].residual_l2
         if best is None or res_norm < best[0].residual_l2 * (1.0 - 5e-3):
             stalls = 0
@@ -673,11 +764,12 @@ def lasso_pg_solve(
     non-increasing.  Raises ValueError for tau < 0, a NaN or negative
     `tol`, or `max_iter` below 1.
     """
-    phi, f = as_system(phi, f)
+    phi, f = _as_system(phi, f)
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+    check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = phi.shape[1]
@@ -742,7 +834,7 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     and each step tried off S one more.  The returned residual norm is
     recomputed from the returned a.
     """
-    phi, f = as_system(phi, f)
+    phi, f = _as_system(phi, f)
     _check_sparsity(k, phi)
     x = np.zeros(phi.shape[1])
     r = f
@@ -753,12 +845,15 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     for _ in range(_IHT_MAX_ITERATIONS):
         g_s = np.zeros_like(g)
         g_s[support] = g[support]
-        phi_g = phi @ g_s
-        curvature = float(phi_g @ phi_g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi_g = phi @ g_s
+            curvature = float(phi_g @ phi_g)
+            mu = float(g_s @ g_s) / curvature if curvature else 0.0
         if curvature == 0.0:
             termination = "converged"
             break
-        mu = float(g_s @ g_s) / curvature
+        if not (np.isfinite(curvature) and np.isfinite(mu)):
+            raise ValueError("IHT step overflows float64: scale Phi or f down")
         while True:
             w = x + mu * g
             new = top_k_support(w, k)
@@ -775,7 +870,7 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
         x, support = x_new, new
         r = r - phi_d
         history.append(float(np.sqrt(r @ r)))
-        if float(np.sqrt(d @ d)) <= _TOLERANCE * max(float(np.sqrt(x @ x)), 1e-12):
+        if float(np.sqrt(d @ d)) <= _TOLERANCE * float(np.sqrt(x @ x)):
             termination = "converged"
             break
         g = phi.T @ r

@@ -495,6 +495,8 @@ class TestGameSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GameConfig(rounds=0)
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            GameConfig(rounds=2.5)
         with pytest.raises(ValueError):
             GameConfig(rounds=5, q=3)
         with pytest.raises(ValueError):

@@ -168,9 +168,9 @@ class TestClash:
             go = grad.copy()
             go[support] = 0.0
             extended = np.union1d(support, top_k_support(go, k))
-            v = _l1_restricted_lsq(p.phi, p.f, extended, tau, alpha)
+            v = _l1_restricted_lsq(p.phi, p.f, extended, tau, alpha)[0]
             gamma = hard_threshold(v, k)
-            debiased = _l1_restricted_lsq(p.phi, p.f, np.nonzero(gamma)[0], tau, gamma)
+            debiased = _l1_restricted_lsq(p.phi, p.f, np.nonzero(gamma)[0], tau, gamma)[0]
             res_gamma = lp_norm(p.f - p.phi @ gamma, 2)
             res_debiased = lp_norm(p.f - p.phi @ debiased, 2)
             assert res_debiased <= res_gamma + 1e-10
@@ -180,7 +180,7 @@ class TestClash:
         p = desk_instance(11)
         tau = p.tau_star
         res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=12, tau=tau))
-        plain, plain_trace = _clash_loop(p.phi, p.f, 12, tau, np.zeros(p.phi.shape[1]))
+        plain, plain_trace, _ = _clash_loop(p.phi, p.f, 12, tau, np.zeros(p.phi.shape[1]))
         # easy regime: the first (plain) member, one loop from zero, already
         # recovers exactly, so the portfolio short-circuits to its run
         assert differing_fields(res, plain) == []
@@ -242,6 +242,8 @@ class TestClash:
             PursuitConfig(sparsity=0)
         with pytest.raises(ValueError):
             PursuitConfig(sparsity=2, tau=-1.0)
+        with pytest.raises(ValueError, match="sparsity must be an integer"):
+            PursuitConfig(sparsity=2.5)
 
     @pytest.mark.parametrize("tau", [10.0, np.inf])
     def test_extension_when_the_top_k_holds_support_indices(self, monkeypatch, tau):
@@ -280,7 +282,7 @@ class TestCertificateStop:
         # lasso_pg_solve finds the support, and the exact solve on it
         # removes the gap of 1e-10 to 1e-8 at which FISTA stalls here
         lasso = lasso_pg_solve(p.phi, p.f, tau, tol=1e-12).alpha
-        return _l1_restricted_lsq(p.phi, p.f, np.nonzero(lasso)[0], tau, lasso)
+        return _l1_restricted_lsq(p.phi, p.f, np.nonzero(lasso)[0], tau, lasso)[0]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("frac", [0.1, 0.2])
@@ -350,6 +352,53 @@ class TestCertificateStop:
         p = desk_instance(derive_seed(200, 1), sigma=0.005)
         for solve in (sp_solve, clash_solve):
             solve(p.phi, p.f, PursuitConfig(sparsity=12, tau=np.inf))
+
+    @staticmethod
+    def binding_case():
+        # the instance of test_binding_budget_solve_runs_one_loop
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 0),
+                                 noise_mode="fixed-norm"))
+        return p, 0.2 * p.tau_star
+
+    def test_loop_stops_on_a_certified_iterate(self):
+        # without the stop, the loop runs one more iteration that returns
+        # the certified iterate again, to rounding
+        p, tau = self.binding_case()
+        stopped = _clash_loop(p.phi, p.f, 57, tau, np.zeros(500))[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pursuit, "_duality_gap", lambda *args: (np.inf, 0.0))
+            full = _clash_loop(p.phi, p.f, 57, tau, np.zeros(500))[0]
+        assert (stopped.termination, full.termination) == ("certified", "converged")
+        assert stopped.iterations == len(stopped.history) == full.iterations - 1
+        assert stopped.history == full.history[:-1]
+        assert np.array_equal(np.nonzero(stopped.alpha)[0], np.nonzero(full.alpha)[0])
+        np.testing.assert_allclose(stopped.alpha, full.alpha, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(full.alpha)))
+        gap, rounding = pursuit._duality_gap(p.phi, p.f, stopped.alpha, tau)
+        assert gap <= rounding
+
+    def test_loop_from_a_certified_point_runs_one_iteration(self):
+        # the test comes before every iteration after the first, so the
+        # first runs; it returns the start to rounding, and the loop ends
+        # on the iterate change before the next test
+        p, tau = self.binding_case()
+        certified = _clash_loop(p.phi, p.f, 57, tau, np.zeros(500))[0].alpha
+        again, trace, _ = _clash_loop(p.phi, p.f, 57, tau, certified)
+        assert again.termination == "converged"
+        assert again.iterations == len(again.history) == len(trace.iterates) == 1
+        np.testing.assert_allclose(again.alpha, certified, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(certified)))
+
+    def test_no_loop_stop_with_momentum(self, monkeypatch):
+        # the expansion then ranks the gradient at another point, so alpha
+        # need not be the loop's fixed point
+        gaps = []
+        duality_gap = pursuit._duality_gap
+        monkeypatch.setattr(pursuit, "_duality_gap",
+                            lambda *a: gaps.append(a) or duality_gap(*a))
+        p, tau = self.binding_case()
+        res = _clash_loop(p.phi, p.f, 57, tau, np.zeros(500), True)[0]
+        assert gaps == [] and res.termination == "converged"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -434,7 +483,7 @@ class TestL1RestrictedLsq:
         tau = 0.4 * np.sum(np.abs(x_ls))
         warm = np.zeros(120)
         warm[support[:10]] = rng.normal(size=10)
-        out = _l1_restricted_lsq(phi, f, support, tau, warm)
+        out = _l1_restricted_lsq(phi, f, support, tau, warm)[0]
         assert np.all(np.delete(out, support) == 0.0)
         assert np.sum(np.abs(out)) <= tau
         ours = lsq_objective(phi_s, f, out[support])
@@ -444,7 +493,7 @@ class TestL1RestrictedLsq:
 
     def test_empty_support(self):
         phi, f, _ = gaussian_case(1, m=10, n=20)
-        out = _l1_restricted_lsq(phi, f, np.empty(0, dtype=np.int64), 1.0, None)
+        out = _l1_restricted_lsq(phi, f, np.empty(0, dtype=np.int64), 1.0, None)[0]
         assert np.array_equal(out, np.zeros(20))
 
     def test_warm_none_zero_and_given_agree(self):
@@ -454,7 +503,7 @@ class TestL1RestrictedLsq:
         warm = np.zeros(80)
         warm[support[::3]] = 1.0
         outs = [
-            _l1_restricted_lsq(phi, f, support, tau, w)
+            _l1_restricted_lsq(phi, f, support, tau, w)[0]
             for w in (None, np.zeros(80), warm, -warm)
         ]
         for out in outs[1:]:
@@ -465,7 +514,7 @@ class TestL1RestrictedLsq:
         support = np.arange(25)
         x_ls = np.linalg.lstsq(phi[:, support], f, rcond=None)[0]
         for tau in (np.sum(np.abs(x_ls)) * 1.001, 1e6):
-            out = _l1_restricted_lsq(phi, f, support, tau, None)
+            out = _l1_restricted_lsq(phi, f, support, tau, None)[0]
             np.testing.assert_allclose(out[support], x_ls, rtol=1e-9, atol=1e-12)
 
     def test_noiseless_budget_within_ulps_of_the_fit(self):
@@ -478,7 +527,7 @@ class TestL1RestrictedLsq:
             support = np.arange(50)
             l1 = np.sum(np.abs(truth))
             for tau in (l1, np.nextafter(l1, 0.0), l1 * (1 - 4e-16), l1 * (1 + 4e-16)):
-                out = _l1_restricted_lsq(phi, f, support, tau, truth)
+                out = _l1_restricted_lsq(phi, f, support, tau, truth)[0]
                 assert np.sum(np.abs(out)) <= tau
                 np.testing.assert_allclose(out, truth, atol=1e-9)
 
@@ -489,7 +538,7 @@ class TestL1RestrictedLsq:
         phi_s = phi[:, support]
         # minimum-l1 interpolant norm is below this for frac = 5
         tau = frac * np.sum(np.abs(np.linalg.lstsq(phi_s, f, rcond=None)[0]))
-        out = _l1_restricted_lsq(phi, f, support, tau, phi.T @ f)
+        out = _l1_restricted_lsq(phi, f, support, tau, phi.T @ f)[0]
         assert np.sum(np.abs(out)) <= tau
         scale = np.max(np.abs(phi_s.T @ f))
         assert_kkt(phi_s, f, out[support], tau,
@@ -506,7 +555,7 @@ class TestL1RestrictedLsq:
         phi[:, 7] = phi[:, 3]
         warm = np.zeros(12)
         warm[[3, 7]] = [1.0, -0.5]
-        out = _l1_restricted_lsq(phi, f, np.arange(12), 1.5, warm)
+        out = _l1_restricted_lsq(phi, f, np.arange(12), 1.5, warm)[0]
         assert np.sum(np.abs(out)) <= 1.5
         assert_kkt(phi, f, out, 1.5, abs_tol=1e-9 * np.max(np.abs(phi.T @ f)))
         ref = lasso_pg_solve(phi, f, 1.5, tol=1e-12).alpha
@@ -530,7 +579,7 @@ class TestL1RestrictedLsq:
         # re-entered on a violation of 4e-12.
         phi, f, truth = gaussian_case(seed, m, n, sigma=0.0)
         tau = np.sum(np.abs(truth))
-        out = _l1_restricted_lsq(phi, f, np.arange(n), tau, None)
+        out = _l1_restricted_lsq(phi, f, np.arange(n), tau, None)[0]
         assert np.sum(np.abs(out)) <= tau
         scale = np.max(np.abs(phi.T @ f))
         assert_kkt(phi, f, out, tau, abs_tol=rounding_level(phi, out) * scale)
@@ -554,7 +603,7 @@ class TestL1RestrictedLsq:
         scale = np.max(np.abs(phi.T @ f))
         tau = frac * np.sum(np.abs(truth)) + 1e-3
         support = np.arange(n)
-        out = _l1_restricted_lsq(phi, f, support, tau, warm)
+        out = _l1_restricted_lsq(phi, f, support, tau, warm)[0]
         assert np.all(np.isfinite(out))
         assert np.sum(np.abs(out)) <= tau
         assert_kkt(phi, f, out, tau, abs_tol=rounding_level(phi, out) * scale)
@@ -573,9 +622,9 @@ class TestInnerSolveReuse:
         calls = []
 
         def counting(phi, f, support, tau, warm, *args):
-            out = _l1_restricted_lsq(phi, f, support, tau, warm, *args)
+            out, factor = _l1_restricted_lsq(phi, f, support, tau, warm, *args)
             calls.append((tau, support.copy(), np.nonzero(out)[0]))
-            return out
+            return out, factor
 
         monkeypatch.setattr(pursuit, "_l1_restricted_lsq", counting)
         return calls
@@ -618,8 +667,106 @@ class TestInnerSolveReuse:
         stored = dict(memo)
         again = _clash_loop(p.phi, p.f, 20, tau, np.zeros(200), memo=memo)
         assert memo.keys() == stored.keys()
-        for a, b in zip(first, again):
+        for a, b in zip(first[:2], again[:2]):
             assert differing_fields(a, b) == []
+
+
+class TestFactorHandOff:
+    """Step 2 starts from the (columns, G_AA^{-1}) that the solve of its
+    iterate ended on, checked as an updated inverse is."""
+
+    @staticmethod
+    def step_two_case(seed):
+        # a de-bias answer, its factorization, and the next step-2 support
+        p, tau = half_budget_instance(derive_seed(1, seed))
+        debias = top_k_support(p.phi.T @ p.f, 20)
+        alpha, factor = _l1_restricted_lsq(p.phi, p.f, debias, tau, None)
+        corr = p.phi.T @ (p.f - p.phi @ alpha)
+        corr[debias] = 0.0
+        extended = np.union1d(np.nonzero(alpha)[0], top_k_support(corr, 20))
+        return p, tau, alpha, factor, extended
+
+    def record_formations(self, monkeypatch):
+        formations = []
+        border = pursuit._border
+
+        def recording(gram, idx, hinv):
+            if hinv.size == 0:
+                formations.append(idx)
+            return border(gram, idx, hinv)
+
+        monkeypatch.setattr(pursuit, "_border", recording)
+        return formations
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_factor_is_the_inverse_on_the_answers_nonzeros(self, seed):
+        p, _, alpha, (cols, hinv), _ = self.step_two_case(seed)
+        assert np.array_equal(np.sort(cols), np.nonzero(alpha)[0])
+        gram = p.phi[:, cols].T @ p.phi[:, cols]
+        np.testing.assert_allclose(hinv @ gram, np.eye(cols.size), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_start_from_the_factor_agrees_with_a_start_from_scratch(self, monkeypatch, seed):
+        p, tau, alpha, factor, extended = self.step_two_case(seed)
+        cold, _ = _l1_restricted_lsq(p.phi, p.f, extended, tau, alpha)
+        formations = self.record_formations(monkeypatch)
+        warm, _ = _l1_restricted_lsq(p.phi, p.f, extended, tau, alpha, factor)
+        assert formations == []
+        assert np.array_equal(np.nonzero(warm)[0], np.nonzero(cold)[0])
+        np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12 * np.max(np.abs(cold)))
+
+    def test_drifted_factor_fails_the_face_check(self, monkeypatch):
+        # an inverse off by 1e-6 gives an answer off by as much, which the
+        # face equations refuse: the inverse is formed from scratch and the
+        # answer is the minimizer to rounding
+        p, tau, alpha, (cols, hinv), extended = self.step_two_case(0)
+        cold, _ = _l1_restricted_lsq(p.phi, p.f, extended, tau, alpha)
+        formations = self.record_formations(monkeypatch)
+        warm, _ = _l1_restricted_lsq(p.phi, p.f, extended, tau, alpha,
+                                     (cols, (1 + 1e-6) * hinv))
+        assert formations
+        np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12 * np.max(np.abs(cold)))
+
+    def test_clash_starts_step_two_from_the_iterates_factor(self, monkeypatch):
+        # every handed factor holds exactly the warm start's nonzeros, and
+        # the hand-off saves formations from scratch
+        calls = []
+        l1_lsq = pursuit._l1_restricted_lsq
+
+        def recording(phi, f, support, tau, warm, factor=None):
+            calls.append((warm, factor))
+            return l1_lsq(phi, f, support, tau, warm, factor)
+
+        monkeypatch.setattr(pursuit, "_l1_restricted_lsq", recording)
+        formations = self.record_formations(monkeypatch)
+        p, tau = half_budget_instance(derive_seed(1, 0))
+        clash_solve(p.phi, p.f, PursuitConfig(sparsity=20, tau=tau))
+        handed = [(warm, factor) for warm, factor in calls if factor is not None]
+        assert handed
+        for warm, (cols, _) in handed:
+            assert np.array_equal(np.sort(cols), np.nonzero(warm)[0])
+        assert len(formations) < len(calls)
+
+    def test_stage_loops_pass_their_factor_on(self, monkeypatch):
+        # tau-sweep trial 25 of seed 321 runs all five members; each stage
+        # loop after a member's first starts from the factor the loop
+        # before it returned
+        runs = []
+        clash_loop = pursuit._clash_loop
+        monkeypatch.setattr(pursuit, "_clash_loop",
+                            lambda *a: runs.append((a, clash_loop(*a))) or runs[-1][1])
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(321, 25),
+                                 noise_mode="fixed-norm"))
+        clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=p.tau_star))
+        firsts = 0
+        for i, (args, _) in enumerate(runs):
+            if not np.any(args[4]):
+                firsts += 1
+                assert args[7] is None
+            else:
+                assert args[7] is runs[i - 1][1][2]
+        assert firsts == len(pursuit.CONTINUATION_PORTFOLIO)
+        assert len(runs) > firsts
 
 
 class TestFaceCheck:
@@ -644,7 +791,7 @@ class TestFaceCheck:
         # block exchanges and with the backup alone
         monkeypatch.setattr(pursuit, "_BACKUP", backup)
         phi, f, _ = gaussian_case(1796611836, m=3, n=3, sigma=0.0)
-        out = _l1_restricted_lsq(phi, f, np.arange(3), tau, None)
+        out = _l1_restricted_lsq(phi, f, np.arange(3), tau, None)[0]
         assert np.sum(np.abs(out)) <= tau
         assert_kkt(phi, f, out, tau,
                    abs_tol=rounding_level(phi, out) * np.max(np.abs(phi.T @ f)))
@@ -693,8 +840,8 @@ class TestFaceCheck:
         for pick, frac in steps:
             support = supports[pick]
             tau = frac * np.sum(np.abs(truth)) + 1e-3
-            warmed = _l1_restricted_lsq(phi, f, support, tau, warm)
-            cold = _l1_restricted_lsq(phi, f, support, tau, None)
+            warmed = _l1_restricted_lsq(phi, f, support, tau, warm)[0]
+            cold = _l1_restricted_lsq(phi, f, support, tau, None)[0]
             if support.size <= m:
                 assert np.array_equal(support_of(warmed), support_of(cold))
             assert np.sum(np.abs(warmed)) <= tau
@@ -743,7 +890,7 @@ class TestBlockPivots:
         # pivoting one index at a time from zero, every nonzero would
         steps = self.record_steps(monkeypatch)
         p, support, tau = self.from_zero_case(derive_seed(808, seed))
-        out = _l1_restricted_lsq(p.phi, p.f, support, tau, None)
+        out = _l1_restricted_lsq(p.phi, p.f, support, tau, None)[0]
         assert steps == []
         assert_kkt(p.phi[:, support], p.f, out[support], tau,
                    abs_tol=1e-9 * np.max(np.abs(p.phi[:, support].T @ p.f)))
@@ -770,10 +917,10 @@ class TestBlockPivots:
         rng = np.random.default_rng(seed)
         warm = np.zeros(500)
         warm[support[::4]] = rng.normal(size=support[::4].size)
-        blocked = [_l1_restricted_lsq(p.phi, p.f, support, tau, w) for w in (None, warm)]
+        blocked = [_l1_restricted_lsq(p.phi, p.f, support, tau, w)[0] for w in (None, warm)]
         steps = self.record_steps(monkeypatch)
         monkeypatch.setattr(pursuit, "_BACKUP", -1)
-        single = [_l1_restricted_lsq(p.phi, p.f, support, tau, w) for w in (None, warm)]
+        single = [_l1_restricted_lsq(p.phi, p.f, support, tau, w)[0] for w in (None, warm)]
         assert steps
         for out in blocked[1:] + single:
             np.testing.assert_allclose(out, blocked[0], rtol=0,
@@ -788,7 +935,7 @@ class TestBlockPivots:
         f = r - phi @ np.linalg.lstsq(phi, r, rcond=None)[0]
         for backup in (pursuit._BACKUP, -1):
             monkeypatch.setattr(pursuit, "_BACKUP", backup)
-            out = _l1_restricted_lsq(phi, f, np.arange(12), 10.0, None)
+            out = _l1_restricted_lsq(phi, f, np.arange(12), 10.0, None)[0]
             assert np.array_equal(out, np.zeros(12))
 
     def test_backup_after_block_steps_stall(self, monkeypatch):
@@ -807,7 +954,7 @@ class TestBlockPivots:
             warm = np.zeros(n)
             warm[list(signs)] = list(signs.values())
             before = len(steps)
-            out = _l1_restricted_lsq(phi, f, np.arange(n), tau, warm)
+            out = _l1_restricted_lsq(phi, f, np.arange(n), tau, warm)[0]
             assert len(steps) > before
             self.assert_optimal(phi, f, out, tau)
 
@@ -820,7 +967,7 @@ class TestBlockPivots:
         trade = pursuit._trade
         monkeypatch.setattr(pursuit, "_trade", lambda *a: trades.append(a) or trade(*a))
         tau = np.sum(np.abs(truth))
-        out = _l1_restricted_lsq(phi, f, np.arange(20), tau, None)
+        out = _l1_restricted_lsq(phi, f, np.arange(20), tau, None)[0]
         assert trades
         self.assert_optimal(phi, f, out, tau)
 
@@ -866,6 +1013,52 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="sparsity must be >= 1"):
             self.SPARSE_SOLVERS[solver](phi, f, k)
 
+    @pytest.mark.parametrize("solver", ["clash", "sp", "iht"])
+    def test_fractional_sparsity_rejected(self, solver):
+        phi, f, _ = gaussian_case(6, 10, 5)
+        with pytest.raises(ValueError, match="sparsity must be an integer"):
+            self.SPARSE_SOLVERS[solver](phi, f, 2.5)
+
+    @staticmethod
+    def two_spike_case():
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((20, 40))
+        alpha = np.zeros(40)
+        alpha[[3, 7]] = [1.0, -2.0]
+        return phi, phi @ alpha, alpha
+
+    @pytest.mark.parametrize("solver", ["clash", "sp", "iht"])
+    @pytest.mark.parametrize("scale", [1e-50, 1.0, 1e50])
+    def test_recovery_does_not_depend_on_the_scale(self, solver, scale):
+        # the stop tests are relative: an absolute floor on ||alpha||, about
+        # 1e-50 at scale 1e50, once stopped SP after one iteration
+        phi, f, alpha = self.two_spike_case()
+        solve = {
+            "clash": lambda: clash_solve(scale * phi, f, PursuitConfig(sparsity=2, tau=3.0 / scale))[0],
+            "sp": lambda: sp_solve(scale * phi, f, PursuitConfig(sparsity=2))[0],
+            "iht": lambda: iht_solve(scale * phi, f, 2),
+        }[solver]
+        res = solve()
+        assert np.array_equal(np.nonzero(res.alpha)[0], [3, 7])
+        np.testing.assert_allclose(scale * res.alpha, alpha, rtol=1e-6)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_overflowing_column_norms_rejected(self, solver):
+        # at 1e155 the squared column norms exceed float64: CLASH returned 0
+        # as "converged", Lasso raised from inside l1_project, IHT hung
+        phi, f, _ = self.two_spike_case()
+        with pytest.raises(ValueError, match="column norms overflow"):
+            self.SOLVERS[solver](1e155 * phi, f)
+
+    def test_overflowing_products_rejected(self):
+        # at 1e100 the column norms fit, but Lasso's power iteration and
+        # IHT's step curvature overflow; both returned alpha = 0 before
+        phi, f, _ = self.two_spike_case()
+        with pytest.raises(ValueError, match="power iteration"):
+            lasso_pg_solve(1e100 * phi, f, 3e-100)
+        with pytest.raises(ValueError, match="IHT step"):
+            iht_solve(1e100 * phi, f, 2)
+
 
 class TestLassoPG:
     def test_identity_feasible_optimum(self):
@@ -910,7 +1103,8 @@ class TestLassoPG:
         assert pursuit._power_iter_cols(phi) == pursuit._power_iter(phi, v, 20, 1e-6)
 
     @pytest.mark.parametrize(
-        "settings", [{"tol": np.nan}, {"tol": -1e-8}, {"max_iter": 0}, {"max_iter": -3}]
+        "settings",
+        [{"tol": np.nan}, {"tol": -1e-8}, {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}],
     )
     def test_bad_settings_rejected(self, settings):
         phi, f, _ = gaussian_case(7, m=12, n=30)
@@ -933,7 +1127,7 @@ class TestLassoPG:
         frac = [0.3, 0.8, 1.5, 3.0, 0.05][case // 2]
         phi, f, _ = gaussian_case(derive_seed(800, case), m, n)
         tau = frac * np.sum(np.abs(np.linalg.lstsq(phi, f, rcond=None)[0]))
-        exact = _l1_restricted_lsq(phi, f, np.arange(n), tau, None)
+        exact = _l1_restricted_lsq(phi, f, np.arange(n), tau, None)[0]
         res = lasso_pg_solve(phi, f, tau)
         assert res.termination != "max-iterations"
         assert np.sum(np.abs(res.alpha)) <= tau
