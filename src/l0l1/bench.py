@@ -13,11 +13,13 @@ Three preset experiments reproduce the reference studies at desk scale
 
 Determinism: each trial draws its instance from a seed derived from the
 master seed and the trial index alone, so every grid point sees the same
-instances (common random numbers) and reruns are bit-identical.  Trials
-may fan out to worker processes; records are merged in (trial, grid
-point, solver) order before writing, so the CSV bytes are independent of
-the worker count.  Wall-clock timings are inherently non-deterministic
-and therefore go to a ``.timing.csv`` sidecar, never the main CSV.
+instances (common random numbers) and reruns are bit-identical.  A trial
+is one task: its grid points run back to back, so they share the one
+measurement matrix `synth.generate` keeps.  Trials may fan out to worker
+processes; records are merged in (trial, grid point, solver) order
+before writing, so the CSV bytes are independent of the worker count.
+Wall-clock timings are inherently non-deterministic and therefore go to
+a ``.timing.csv`` sidecar, never the main CSV.
 
 Floats are written with 17 significant digits for lossless round-trips.
 """
@@ -31,6 +33,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -292,8 +295,10 @@ def _run_cell(plan: ExperimentPlan, grid_index: int, trial: int) -> list[TrialRe
     return records
 
 
-def _cell_worker(args) -> list[TrialRecord]:
-    return _run_cell(*args)
+def _run_trial(plan: ExperimentPlan, trial: int) -> list[TrialRecord]:
+    """The records of every grid point of one trial, in grid order; the
+    cells differ only in sigma and tau, so they share one matrix."""
+    return [rec for gi in range(len(plan.grid())) for rec in _run_cell(plan, gi, trial)]
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -353,23 +358,18 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     Returns a dict with the output paths and the summary rows.
 
-    With ``plan.workers > 1`` the cells run in spawned processes, which
+    With ``plan.workers > 1`` the trials run in spawned processes, which
     import the caller's main module again; a script that calls this at
     top level must do so under ``if __name__ == "__main__":``.
     """
-    grid = plan.grid()
-    tasks = [(plan, gi, t) for gi in range(len(grid)) for t in range(plan.trials)]
+    run_trial = partial(_run_trial, plan)
+    trials = list(range(plan.trials))
     if plan.workers > 1:
-        chunks = _map_in_workers(_cell_worker, tasks, plan.workers)
+        chunks = _map_in_workers(run_trial, trials, plan.workers)
     else:
-        chunks = [_run_cell(*t) for t in tasks]
-
-    solver_order = {name: i for i, name in enumerate(plan.solvers)}
-    by_key: dict[tuple, TrialRecord] = {}
-    for (_, gi, trial), chunk in zip(tasks, chunks):
-        for rec in chunk:
-            by_key[(trial, gi, solver_order[rec.solver])] = rec
-    records = [by_key[key] for key in sorted(by_key)]
+        chunks = [run_trial(t) for t in trials]
+    # each trial's records are in (grid point, solver) order already
+    records = [rec for chunk in chunks for rec in chunk]
 
     records_path = plan.out
     timing_path = plan.out + ".timing.csv"

@@ -413,7 +413,10 @@ def _l1_active_set(
                 keep, hinv = _remove(hinv, leave)
                 act, sgn = act[keep], sgn[keep]
             if act.size + enter.size <= rows:
-                grown = _border(gram, np.concatenate((act, enter)), hinv)
+                grown = hinv
+                # after a leave-only step `_remove` has the inverse already
+                if enter.size:
+                    grown = _border(gram, np.concatenate((act, enter)), hinv)
         if grown is not None:
             act = np.concatenate((act, enter))
             sgn = np.concatenate((sgn, np.sign(g[enter])))
@@ -695,7 +698,9 @@ def _pursue(
     rounding, so the full portfolio would return the same result up to
     rounding: on 3,000 random instances with M, N <= 40 it did in all but
     4, whose winners ended 1 to 6 ulps lower.  The gap costs one product
-    with Phi and one with Phi^T, taken when the best run changes.
+    with Phi and one with Phi^T, taken when the best run changes, unless
+    that run's full-budget loop ended "certified": it has passed the same
+    test on the same alpha and g.
 
     Each stage loop of a member hands the factorization of its last
     iterate (`_clash_loop`) to the next, whose first step-2 solve starts
@@ -726,7 +731,8 @@ def _pursue(
             stalls += 1
         if best is None or res_norm < best[0].residual_l2:
             best = run
-            if finite:
+            certified = run[0].termination == "certified"
+            if finite and not certified:
                 gap, rounding = _duality_gap(phi, f, run[0].alpha, tau)
                 certified = gap <= rounding
         if best[0].residual_l2 <= exact_fit or stalls >= 3 or certified:

@@ -21,11 +21,17 @@ replacement by a partial Fisher-Yates shuffle whose swaps are driven by
 raw draws reduced modulo the remaining range (the modulo bias is far below
 any statistical resolution at these sizes).  The procedures are spelled
 out here so the streams can be replayed outside this package.
+
+The measurement matrix depends on (seed, M, N, scaling) alone, so specs
+that differ only in their noise share it: `generate` keeps the last one
+drawn and hands it out again, read-only, without a copy.  A sweep that
+generates a trial's noise and budget cells back to back draws it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -129,7 +135,10 @@ class ProblemSpec:
 @dataclass
 class GeneratedProblem:
     """A realized instance: f = phi @ alpha_star + noise, with the derived
-    l1 budget tau_star = ||alpha_star||_1."""
+    l1 budget tau_star = ||alpha_star||_1.
+
+    `phi` is read-only (a write raises ValueError): problems whose specs
+    differ only in `sigma` or `noise_mode` may share the one array."""
 
     spec: ProblemSpec
     phi: np.ndarray
@@ -142,6 +151,17 @@ class GeneratedProblem:
         self.tau_star = float(np.sum(np.abs(self.alpha_star)))
 
 
+@lru_cache(maxsize=1)
+def _matrix(seed: int, m: int, n: int, matrix_scaling: str) -> np.ndarray:
+    """The read-only M x N measurement matrix of the (seed, MATRIX_STREAM)
+    stream under `matrix_scaling`; the last one drawn is kept."""
+    phi = gaussians(philox_stream(seed, MATRIX_STREAM), m * n).reshape(m, n)
+    if matrix_scaling == INV_SQRT_M:
+        phi /= np.sqrt(m)
+    phi.flags.writeable = False
+    return phi
+
+
 def generate(spec: ProblemSpec) -> GeneratedProblem:
     """Realize a ProblemSpec.
 
@@ -150,12 +170,11 @@ def generate(spec: ProblemSpec) -> GeneratedProblem:
     entries are iid standard normal, then the signal is normalized to unit
     2-norm; the noise is iid N(0, sigma^2) in "std" mode or rescaled to
     2-norm exactly sigma in "fixed-norm" mode.  Fully determined by
-    spec.seed.
+    spec.seed.  The matrix is read-only, and a call with the same seed,
+    M, N and scaling as the call before returns that call's matrix, the
+    same array, without drawing it again.
     """
-    phi = gaussians(philox_stream(spec.seed, MATRIX_STREAM), spec.m * spec.n)
-    phi = phi.reshape(spec.m, spec.n)
-    if spec.matrix_scaling == INV_SQRT_M:
-        phi /= np.sqrt(spec.m)
+    phi = _matrix(spec.seed, spec.m, spec.n, spec.matrix_scaling)
 
     support = sample_support(philox_stream(spec.seed, SUPPORT_STREAM), spec.n, spec.k)
     entries = gaussians(philox_stream(spec.seed, SIGNAL_STREAM), spec.k)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l0l1 import bench
+from l0l1 import bench, synth
 from l0l1.bench import (
     SOLVERS,
     ExperimentPlan,
@@ -166,6 +166,24 @@ class TestRunExperiment:
         a = open(tmp_path / "a.csv", "rb").read()
         assert a == open(tmp_path / "b.csv", "rb").read()
         assert a == open(tmp_path / "c.csv", "rb").read()
+
+    def test_each_trial_draws_its_matrix_once(self, tmp_path):
+        plan = small_plan(tmp_path, sigma_grid=[0.0, 0.01, 0.1], trials=2, solvers=["sp"])
+        synth._matrix.cache_clear()
+        out = run_experiment(plan)
+        # trial-major: the three noise levels of a trial reuse its matrix
+        assert synth._matrix.cache_info().misses == 2
+        # records in (trial, grid point, solver) order, as the cells give them
+        cells = [
+            rec.csv_row()
+            for trial in range(plan.trials)
+            for gi in range(len(plan.grid()))
+            for rec in bench._run_cell(plan, gi, trial)
+        ]
+        assert [rec.csv_row() for rec in out["trial_records"]] == cells
+        two = run_experiment(replace(plan, workers=2, out=str(tmp_path / "two.csv")))
+        for key in ("records", "summary"):
+            assert open(two[key], "rb").read() == open(out[key], "rb").read()
 
     def test_workers_start_with_blas_pinned(self, monkeypatch):
         names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]

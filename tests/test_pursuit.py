@@ -330,6 +330,19 @@ class TestCertificateStop:
         gap, rounding = pursuit._duality_gap(p.phi, p.f, res.alpha, tau)
         assert gap <= rounding
 
+    def test_no_second_gap_after_a_certified_loop(self, monkeypatch):
+        # the binding case's one loop ends "certified", and `_pursue` reads
+        # that instead of taking the gap again; the loop passes its g, so
+        # a gap of its own would be a call with four arguments
+        calls = []
+        duality_gap = pursuit._duality_gap
+        monkeypatch.setattr(pursuit, "_duality_gap",
+                            lambda *a: calls.append(len(a)) or duality_gap(*a))
+        p, tau = self.binding_case()
+        res, _ = clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=tau))
+        assert res.termination == "certified"
+        assert calls and 4 not in calls
+
     def test_uncertified_best_run_lets_the_portfolio_go_on(self, monkeypatch):
         # clash-tau trial 146 of seed 1: member 0 wins with a gap 4.4e9
         # times its rounding, the smallest of the pass's 52 uncertified
@@ -650,6 +663,23 @@ class TestInnerSolveReuse:
             if t in last:
                 assert not np.array_equal(support, last[t])
             last[t] = nonzero
+
+    def test_every_border_adds_a_column(self, monkeypatch):
+        # a leave-only pivot step keeps the inverse `_remove` gave it; only
+        # an empty active set is "formed" with no column
+        sizes = []
+        border = pursuit._border
+
+        def recording(gram, idx, hinv):
+            sizes.append((idx.size, hinv.shape[0]))
+            return border(gram, idx, hinv)
+
+        monkeypatch.setattr(pursuit, "_border", recording)
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 146),
+                                 noise_mode="fixed-norm"))
+        clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=0.5 * p.tau_star))
+        assert sizes
+        assert all(size > known or size == 0 for size, known in sizes)
 
     def test_memoized_answers_are_read_only(self):
         p, tau = half_budget_instance(derive_seed(1, 0))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from l0l1 import synth
 from l0l1.numerics import read_matrix, read_vector
 from l0l1.synth import (
     INV_SQRT_M,
@@ -59,11 +62,52 @@ class TestStreams:
 class TestGenerate:
     def test_bit_identical_across_calls(self):
         spec = ProblemSpec(n=80, m=40, k=6, sigma=0.01, seed=123)
-        p1, p2 = generate(spec), generate(spec)
+        p1 = generate(spec)
+        # the second call draws its matrix from the stream again
+        synth._matrix.cache_clear()
+        p2 = generate(spec)
+        assert p2.phi is not p1.phi
         assert np.array_equal(p1.phi, p2.phi)
         assert np.array_equal(p1.alpha_star, p2.alpha_star)
         assert np.array_equal(p1.noise, p2.noise)
         assert np.array_equal(p1.f, p2.f)
+
+    def test_specs_differing_in_noise_share_the_matrix(self):
+        spec = ProblemSpec(n=80, m=40, k=6, sigma=0.01, seed=123)
+        base = generate(spec)
+        before = base.phi.tobytes()
+        for other in (
+            replace(spec, sigma=0.1),
+            replace(spec, noise_mode="fixed-norm"),
+            replace(spec, sigma=0.0),
+        ):
+            p = generate(other)
+            assert p.phi is base.phi
+            assert p.phi.tobytes() == before
+            assert not np.array_equal(p.f, base.f)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"seed": 124}, {"m": 41}, {"n": 81}, {"matrix_scaling": UNIT_VARIANCE}],
+        ids=lambda c: next(iter(c)),
+    )
+    def test_matrix_follows_seed_shape_and_scaling(self, change):
+        spec = ProblemSpec(n=80, m=40, k=6, sigma=0.01, seed=123)
+        base = generate(spec)
+        other = generate(replace(spec, **change))
+        assert other.phi is not base.phi
+        assert not np.array_equal(other.phi, base.phi)
+        # and back: the matrix of the first spec again, the same bytes
+        assert generate(spec).phi.tobytes() == base.phi.tobytes()
+
+    def test_matrix_is_read_only(self):
+        p = generate(ProblemSpec(n=80, m=40, k=6, sigma=0.01, seed=123))
+        with pytest.raises(ValueError):
+            p.phi[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            p.phi *= 2.0
+        # the other arrays are the caller's own
+        p.f[0] = 1.0
 
     def test_paper_shape_defaults(self):
         p = generate(ProblemSpec(n=1000, m=200, k=20, seed=5))
