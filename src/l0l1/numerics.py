@@ -63,16 +63,17 @@ def as_index_set(support, n: int) -> np.ndarray:
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:
-    """The lp norm of a vector for p in [1, inf]; p = inf is the max magnitude."""
+    """The lp norm of a vector for p in [1, inf]; p = inf is the max magnitude.
+    ValueError for p below 1 or NaN."""
     x = np.asarray(x, dtype=np.float64)
+    if not p >= 1:
+        raise ValueError(f"lp_norm requires p >= 1, got {p}")
     if np.isinf(p):
         return float(np.max(np.abs(x))) if x.size else 0.0
     if p == 2:
         return float(np.sqrt(np.sum(x * x)))
     if p == 1:
         return float(np.sum(np.abs(x)))
-    if p < 1:
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_integer
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -20,6 +22,7 @@ class ConstraintSet:
     tau: float
 
     def __post_init__(self):
+        check_integer("sparsity budget k", self.k)
         if self.k < 1:
             raise ValueError(f"sparsity budget k must be >= 1, got {self.k}")
         if not self.tau >= 0:
@@ -30,9 +33,11 @@ def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of w, zeroing the rest.
 
     This is the Euclidean projection onto {x : ||x||_0 <= k}.  Ties are
-    broken toward the lowest index; k >= len(w) returns w unchanged.
+    broken toward the lowest index; k >= len(w) returns w unchanged.  A k
+    that is not an integer, or is below 1, raises ValueError.
     """
     w = np.asarray(w, dtype=np.float64)
+    check_integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     keep = top_k_support(w, k)

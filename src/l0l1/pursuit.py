@@ -23,10 +23,12 @@
   ball certifies that k-sparse point as the ball's minimizer to rounding
   (`_duality_gap`): it then solves the joint problem.
 * `lasso_pg_solve` - monotone FISTA with adaptive restart over the full
-  coordinate space, with the l1 ball projection and step 1/L.
+  coordinate space, with the l1 ball projection and a backtracked step of
+  at least 1/L.
 * `iht_solve` - normalized iterative hard thresholding, kept as a
   comparison baseline: a line-search step on the current support, shrunk
-  when the thresholded point leaves that support.
+  when the thresholded point leaves that support, with the support's
+  columns kept between iterations.
 
 All top-k selections break magnitude ties toward the lowest index, so
 every solver is deterministic given its inputs.  Every solver rejects a
@@ -72,6 +74,8 @@ _IHT_MAX_ITERATIONS = 500
 # curvature, and a rejected step is divided by kappa (1 - c)
 _NIHT_C = 0.01
 _NIHT_KAPPA = 2.0
+# the factor by which Lasso's trial curvature shrinks each iteration
+_LASSO_SHRINK = 0.9
 
 
 @dataclass
@@ -750,21 +754,26 @@ def lasso_pg_solve(
     """Monotone FISTA with adaptive restart for min ||f - Phi a||_2^2 over
     ||a||_1 <= tau.
 
-    Each iteration takes a projected-gradient step z = P(y - step
-    Phi^T (Phi y - f)) from a point y, with step 1/L and L estimated by
-    power iteration on Phi^T Phi (20 iterations, relative tolerance 1e-6).
-    y is the best point x, extrapolated along x - x_prev with Nesterov's
-    weights (Beck & Teboulle 2009).  z replaces x only if it does not
-    raise the objective.  The momentum restarts (y = x) when z is
-    rejected, or when (y - z)^T (x - x_prev) > 0, the gradient restart of
-    O'Donoghue & Candes (2015).  The residuals at x and x_prev are
-    carried, and the one at y is their combination, so an iteration costs
-    two products with Phi.
+    Each iteration takes a projected-gradient step z = P(y - Phi^T
+    (Phi y - f) / c) from y, the best point x extrapolated along
+    x - x_prev with Nesterov's weights.  The trial curvature c shrinks by
+    0.9 each iteration and doubles until ||Phi (z - y)||^2 <= c ||z - y||^2,
+    the quadratic upper bound of the objective at y (Beck & Teboulle
+    2009's backtracking).  It never exceeds L, the largest eigenvalue of
+    Phi^T Phi estimated by power iteration (20 iterations, relative
+    tolerance 1e-6), and at L the step is taken unconditionally.  z
+    replaces x only if it does not raise the objective.  The momentum
+    restarts (y = x) when z is rejected, or when (y - z)^T (x - x_prev) > 0,
+    the gradient restart of O'Donoghue & Candes (2015).  The residuals at
+    x and x_prev are carried, and the one at y is their combination, so
+    an iteration costs two products with Phi, plus one per failed test of
+    the bound (about 2.15 in all on `noise-resilience` instances).
 
-    Termination: "converged" once the gradient-mapping norm
-    ||z - y|| / step reaches `tol`; "stalled" once a plain step from the
-    best point (the first step, or the first after a restart) does not
-    lower the objective in floating point; "max-iterations" after `max_iter` iterations; and
+    Termination: "converged" once ||z - y|| L <= `tol`, which bounds the
+    gradient-mapping norm at step 1/L by `tol`, the step at c <= L being
+    at least as long; "stalled" once a plain step from the best point (the
+    first step, or the first after a restart) does not lower the objective
+    in floating point; "max-iterations" after `max_iter` iterations; and
     "degenerate", with no iteration, when tau = 0 or Phi = 0.  The history
     holds the squared objective at x after each iteration, so it is
     non-increasing.  Raises ValueError for tau < 0, a NaN or negative
@@ -786,7 +795,7 @@ def lasso_pg_solve(
         r = phi @ alpha - f
         nrm = float(np.sqrt(r @ r))
         return SolverResult(alpha, nrm, nrm, [nrm * nrm], 0, "degenerate")
-    step = 1.0 / lam
+    curve = lam
     rx = phi @ x - f
     fx = float(rx @ rx)
     x_prev, rx_prev = x, rx
@@ -801,16 +810,25 @@ def lasso_pg_solve(
         else:
             y = x + beta * (x - x_prev)
             ry = rx + beta * (rx - rx_prev)
-        z = l1_project(y - step * (phi.T @ ry), tau)
-        rz = phi @ z - f
+        grad = phi.T @ ry
+        curve *= _LASSO_SHRINK
+        while True:
+            z = l1_project(y - grad / curve, tau)
+            rz = phi @ z - f
+            moved = z - y
+            if curve >= lam:
+                break
+            phi_moved = rz - ry
+            if float(phi_moved @ phi_moved) <= curve * float(moved @ moved):
+                break
+            curve = min(2.0 * curve, lam)
         fz = float(rz @ rz)
-        moved = z - y
         lowered = fz < fx
         restart = fz > fx or float(moved @ (x - z)) > 0.0
         if fz <= fx:
             x_prev, rx_prev, x, rx, fx = x, rx, z, rz, fz
         history.append(fx)
-        if float(np.sqrt(moved @ moved)) / step <= tol:
+        if float(np.sqrt(moved @ moved)) * lam <= tol:
             termination = "converged"
             break
         if beta == 0.0 and not lowered:
@@ -836,30 +854,42 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     history holds the residual 2-norm after each iteration.
 
     The residual is carried, f - Phi a - Phi d, with Phi d = mu Phi g_S
-    when S does not change, so an iteration costs two products with Phi
-    and each step tried off S one more.  The returned residual norm is
+    when S does not change.  The columns Phi_S are kept, gathered again
+    only when S changes, and Phi g_S and each trial move Phi d are formed
+    from them and from the columns entering S, so an iteration makes one
+    product with all of Phi, for g.  The returned residual norm is
     recomputed from the returned a.
+
+    The solve runs on 2^-e f, e the binary exponent of max |f|, and a,
+    the residual norm and the history are scaled back by 2^e.  Every step
+    is exact under that scaling, so the answer is the one on f itself,
+    but an f near the ends of the float64 range neither underflows to a
+    zero step nor overflows one.
     """
     phi, f = _as_system(phi, f)
     _check_sparsity(k, phi)
+    scale = np.frexp(np.max(np.abs(f)))[1]
+    f = np.ldexp(f, -scale)
     x = np.zeros(phi.shape[1])
     r = f
     g = phi.T @ f
     support = top_k_support(g, k)
+    phi_s = phi[:, support]
+    on_s = np.zeros(g.size, dtype=bool)
+    on_s[support] = True
     history: list[float] = []
     termination = "max-iterations"
     for _ in range(_IHT_MAX_ITERATIONS):
-        g_s = np.zeros_like(g)
-        g_s[support] = g[support]
+        g_s = g[support]
         with np.errstate(over="ignore", invalid="ignore"):
-            phi_g = phi @ g_s
+            phi_g = phi_s @ g_s
             curvature = float(phi_g @ phi_g)
             mu = float(g_s @ g_s) / curvature if curvature else 0.0
         if curvature == 0.0:
             termination = "converged"
             break
         if not (np.isfinite(curvature) and np.isfinite(mu)):
-            raise ValueError("IHT step overflows float64: scale Phi or f down")
+            raise ValueError("IHT step overflows float64: scale Phi down")
         while True:
             w = x + mu * g
             new = top_k_support(w, k)
@@ -869,8 +899,12 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
             if np.array_equal(new, support):
                 phi_d = mu * phi_g
                 break
-            phi_d = phi @ d
+            # d is zero off S and the entering columns
+            added = new[~on_s[new]]
+            phi_d = phi_s @ d[support] + phi[:, added] @ d[added]
             if mu * float(phi_d @ phi_d) <= (1.0 - _NIHT_C) * float(d @ d):
+                phi_s = phi[:, new]
+                on_s[support], on_s[new] = False, True
                 break
             mu /= _NIHT_KAPPA * (1.0 - _NIHT_C)
         x, support = x_new, new
@@ -881,10 +915,11 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
             break
         g = phi.T @ r
     r = f - phi @ x
-    res_norm = float(np.sqrt(r @ r))
-    if history:
-        history[-1] = res_norm
-    return SolverResult(x, res_norm, res_norm, history, len(history), termination)
+    norms = np.ldexp(history[:-1] + [float(np.sqrt(r @ r))], scale).tolist()
+    history = norms if history else []
+    return SolverResult(
+        np.ldexp(x, scale), norms[-1], norms[-1], history, len(history), termination
+    )
 
 
 def contraction_check(

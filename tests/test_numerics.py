@@ -59,6 +59,11 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(np.ones(2), 0.5)
 
+    def test_rejects_nan_p(self):
+        # it returned nan
+        with pytest.raises(ValueError, match="p >= 1"):
+            lp_norm(np.ones(2), np.nan)
+
 
 class TestRestrictedLsq:
     def test_orthonormal_columns(self):

@@ -86,6 +86,13 @@ class TestHardThreshold:
         with pytest.raises(ValueError):
             hard_threshold(np.ones(3), 0)
 
+    def test_rejects_a_fractional_count(self):
+        # numpy's partition raised TypeError on these
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hard_threshold(np.ones(3), 2.5)
+        with pytest.raises(ValueError, match="sparsity budget k must be an integer"):
+            ConstraintSet(k=1.5, tau=1.0)
+
     def test_minimizes_distance_over_all_supports(self):
         rng = np.random.default_rng(11)
         for _ in range(40):

@@ -1072,6 +1072,24 @@ class TestInputChecks:
         assert np.array_equal(np.nonzero(res.alpha)[0], [3, 7])
         np.testing.assert_allclose(scale * res.alpha, alpha, rtol=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e160])
+    def test_iht_at_the_ends_of_the_float_range(self, scale):
+        # IHT solves at a power-of-two scale of f: at 1e-300 its step
+        # underflowed and it returned 0 as "converged", at 1e160 it raised
+        phi, f, _ = self.two_spike_case()
+        ref = iht_solve(phi, f, 2)
+        res = iht_solve(phi, scale * f, 2)
+        assert np.array_equal(np.nonzero(res.alpha)[0], [3, 7])
+        np.testing.assert_allclose(res.alpha / scale, ref.alpha, rtol=1e-12)
+        assert res.residual_l2 > 0.0
+        # scale * f rounds unless scale is a power of two; at the nearest
+        # one the answer scales bit for bit
+        two = 2.0 ** np.round(np.log2(scale))
+        exact = iht_solve(phi, two * f, 2)
+        assert np.array_equal(exact.alpha / two, ref.alpha)
+        assert exact.history == [two * h for h in ref.history]
+        assert exact.iterations == ref.iterations
+
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_overflowing_column_norms_rejected(self, solver):
         # at 1e155 the squared column norms exceed float64: CLASH returned 0
@@ -1164,6 +1182,33 @@ class TestLassoPG:
         best = lsq_objective(phi, f, exact)
         assert lsq_objective(phi, f, res.alpha) <= best * (1 + 1e-9) + 1e-14 * (f @ f)
 
+    @pytest.mark.parametrize("trial", range(3))
+    def test_unique_minimizer_at_bench_size(self, trial):
+        # at sigma = 0.1 the minimizer is unique: the default stop lands on
+        # it, as a tight one and the exact solve warm-started there do
+        p = desk_instance(derive_seed(900, trial), n=1000, m=305, k=115, sigma=0.1)
+        res = lasso_pg_solve(p.phi, p.f, p.tau_star)
+        tight = lasso_pg_solve(p.phi, p.f, p.tau_star, tol=1e-12).alpha
+        exact = _l1_restricted_lsq(p.phi, p.f, np.arange(1000), p.tau_star, res.alpha)[0]
+        for ref in (tight, exact):
+            assert np.linalg.norm(res.alpha - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_converged_at_the_power_iteration_bound(self, monkeypatch):
+        # the trial curvature c settles near Phi's own, far below an L
+        # inflated 1000 times; a stop on ||z - y|| c <= tol would leave the
+        # gradient mapping at the true L near tol, the stop on ||z - y|| L
+        # about 1000 times below it
+        phi, f, _ = gaussian_case(3, m=60, n=120)
+        lam = pursuit._power_iter_cols(phi)
+        monkeypatch.setattr(pursuit, "_power_iter_cols", lambda a: 1000.0 * lam)
+        tau = 0.5 * np.sum(np.abs(np.linalg.lstsq(phi, f, rcond=None)[0]))
+        tol = 1e-3
+        res = lasso_pg_solve(phi, f, tau, tol=tol, max_iter=100_000)
+        assert res.termination == "converged"
+        x = res.alpha
+        mapping = lam * np.linalg.norm(x - l1_project(x - phi.T @ (phi @ x - f) / lam, tau))
+        assert mapping <= 5.0 * tol / 1000.0
+
     def test_rerun_is_bit_identical(self):
         p = desk_instance(14, sigma=0.01)
         a = lasso_pg_solve(p.phi, p.f, 0.8 * p.tau_star)
@@ -1203,6 +1248,54 @@ class TestIht:
     def test_rerun_is_bit_identical(self):
         p = desk_instance(16, sigma=0.01)
         assert differing_fields(iht_solve(p.phi, p.f, k=12), iht_solve(p.phi, p.f, k=12)) == []
+
+    @staticmethod
+    def full_product_loop(phi, f, k):
+        """Normalized IHT forming Phi g_S and every trial move Phi d as
+        products with all of Phi: the loop `iht_solve` must match up to
+        rounding.  Returns alpha, the iteration count and the termination."""
+        x, r, g = np.zeros(phi.shape[1]), f, phi.T @ f
+        support = top_k_support(g, k)
+        iterations, termination = 0, "max-iterations"
+        for _ in range(500):
+            g_s = np.zeros_like(g)
+            g_s[support] = g[support]
+            phi_g = phi @ g_s
+            curvature = float(phi_g @ phi_g)
+            if curvature == 0.0:
+                termination = "converged"
+                break
+            mu = float(g_s @ g_s) / curvature
+            while True:
+                w = x + mu * g
+                new = top_k_support(w, k)
+                x_new = np.zeros_like(x)
+                x_new[new] = w[new]
+                d = x_new - x
+                if np.array_equal(new, support):
+                    phi_d = mu * phi_g
+                    break
+                phi_d = phi @ d
+                if mu * float(phi_d @ phi_d) <= 0.99 * float(d @ d):
+                    break
+                mu /= 2.0 * 0.99
+            x, support, r = x_new, new, r - phi_d
+            iterations += 1
+            if float(np.sqrt(d @ d)) <= 1e-6 * float(np.sqrt(x @ x)):
+                termination = "converged"
+                break
+            g = phi.T @ r
+        return x, iterations, termination
+
+    @pytest.mark.parametrize("trial", range(2))
+    @pytest.mark.parametrize("sigma", [1e-5, 1e-3, 1e-1])
+    def test_matches_the_full_product_loop(self, trial, sigma):
+        p = desk_instance(derive_seed(900, trial), n=1000, m=305, k=115, sigma=sigma)
+        res = iht_solve(p.phi, p.f, k=115)
+        alpha, iterations, termination = self.full_product_loop(p.phi, p.f, 115)
+        assert np.array_equal(np.nonzero(res.alpha)[0], np.nonzero(alpha)[0])
+        assert (res.iterations, res.termination) == (iterations, termination)
+        assert np.linalg.norm(res.alpha - alpha) <= 1e-12 * np.linalg.norm(alpha)
 
     @pytest.mark.parametrize("seed", range(17, 25))
     def test_residual_is_recomputed_from_the_output(self, seed):
