@@ -18,10 +18,8 @@
   reached with drifted.  With tau = inf the inner solves collapse to
   plain restricted least squares, solved directly
   (`numerics.restricted_lsq`), and the loop is subspace pursuit's.  At a
-  finite tau a loop stops on an iterate, and the portfolio of warm starts
-  on its best run, once the Frank-Wolfe duality gap over the whole l1
-  ball certifies that k-sparse point as the ball's minimizer to rounding
-  (`_duality_gap`): it then solves the joint problem.
+  finite tau the loop runs from a portfolio of warm starts, whose stops
+  `_pursue` lists.
 * `lasso_pg_solve` - monotone FISTA with adaptive restart over the full
   coordinate space, with the l1 ball projection and a backtracked step of
   at least 1/L.
@@ -33,8 +31,10 @@
 All top-k selections break magnitude ties toward the lowest index, so
 every solver is deterministic given its inputs.  Every solver rejects a
 non-finite Phi or f, an f whose length is not Phi's row count, and a Phi
-whose squared column norms overflow, with ValueError.  Their stop tests
-are relative, so scaling Phi by c scales the answer by 1/c.
+whose squared column norms overflow, with ValueError.  The stop tests of
+SP, CLASH and IHT are relative, so scaling Phi by c scales their answer
+by 1/c; `lasso_pg_solve`'s `tol` is absolute, so its answer does not
+scale so.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .results import IterateTrace, SolverResult
 # support identification is easier, and each stage's answer lies in the
 # next stage's ball, so `_pursue`'s projections return their input.
 # Momentum takes the expansion gradient at an extrapolated point.  The
-# smallest final residual wins, ties keeping the earliest.  ROADMAP item
-# 4(b) records the census that chose these members.
+# smallest final residual wins, ties keeping the earliest.  CHANGES.md
+# records the census that chose these members.
 CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
     ((), False),
     ((0.7, 0.8, 0.9, 0.95), False),
@@ -209,10 +209,8 @@ def _l1_restricted_lsq(
     return clip_into_l1_ball(out, tau), (support[act], hinv)
 
 
-# Columns per block when G_AA^{-1} is formed from scratch, chosen by
-# measurement: with one OpenBLAS 0.3 thread on a 2-core Xeon, the 1,723
-# formations from scratch of nine noise-resilience solves (N = 1000,
-# M = 305, k = 115) took 0.9 s in blocks of 64 against 1.3 s in one block.
+# Columns per block when G_AA^{-1} is formed from scratch, chosen by a
+# timing that CHANGES.md records: faster than one block at N = 1000.
 _BLOCK = 64
 
 
@@ -462,7 +460,8 @@ def sp_solve(
     of the history and the trace.  Stops when the residual norm stops
     decreasing, when the relative iterate change is at most 1e-6, or
     after 100 iterations.  The trace holds the support, the step length
-    and a copy of every iterate of the run.
+    and a copy of every iterate of the run.  The solve runs at a
+    power-of-two scale of f (`_pursue`).
     """
     return _pursue(phi, f, cfg.sparsity, np.inf)
 
@@ -631,8 +630,9 @@ def clash_solve(
     portfolio meet it.  An inner answer is accepted once its optimality
     conditions, computed from G_SS, hold to rounding.  The loop stops once
     the relative iterate change is at most 1e-6, after 100 iterations,
-    or, without momentum, once the duality gap below certifies an iterate
-    after the first iteration: the next iteration would return it again.
+    or, without momentum, once the duality gap over the l1 ball
+    (`_duality_gap`) certifies an iterate after the first iteration: the
+    next iteration would return it again.
     With tau = inf steps 2 and 4 are plain restricted least squares, the
     loop stops as subspace pursuit does, and the result is `sp_solve`'s.
 
@@ -643,21 +643,16 @@ def clash_solve(
     the expansion, and three through schedules of reduced norm budgets
     (fractions of tau) before the full-budget loop.  Every stage iterate
     is feasible for the final constraint set (stage budgets never exceed
-    tau).  The portfolio stops early once a run reaches a numerically
-    exact fit, once three consecutive members
-    fail to improve the best residual meaningfully (the plateau signals a
-    noise floor rather than a recovery problem), or once the best run is
-    certified optimal: its Frank-Wolfe duality gap over the whole l1 ball,
-    tau ||g||_inf - g^T alpha with g = Phi^T (f - Phi alpha), is within
-    M eps (tau ||g||_inf + |g|^T |alpha|), the rounding of its terms.  The
-    ball holds every (k, tau)-feasible point, so no later member could end
-    lower but by rounding.  On `clash-tau`-like instances (N = 500,
-    M = 160, k = 57, tau half the true l1 norm) 98 of 150 solves stop so
-    after member 0, with gaps of 7e-16 to 3.3e-15 of that sum; the other 52
-    are at 1.6e-4 or more.  The smallest final residual
-    wins, ties keeping the earliest run; the reported history, trace and
-    iteration count are the winning full-budget run's, and the trace holds
-    every iterate of that run.
+    tau).  The portfolio stops after a member once the best run fits f to
+    1e-6 relative, once three members in a row lower the best residual by
+    less than 0.5 %, once the best run is certified optimal over the whole
+    l1 ball, or once the member ends on the best run's alpha with the
+    budget binding (`_pursue`).  The smallest final residual wins, ties
+    keeping the earliest run; the reported history, trace and iteration
+    count are the winning full-budget run's, and the trace holds every
+    iterate of that run.  The solve runs at a power-of-two scale of f and
+    tau (`_pursue`), so an extreme f fails neither by overflow nor
+    underflow.
     """
     return _pursue(phi, f, cfg.sparsity, cfg.tau)
 
@@ -693,24 +688,38 @@ def _pursue(
     """The body of `clash_solve` and `sp_solve`: the portfolio when tau is
     finite, one cold start from alpha = 0 when it is not.
 
-    The portfolio stops after a member once the best run so far fits f to
-    1e-6 relative, once three members in a row lower the best residual by
-    less than 0.5 %, or once the best run's alpha is certified optimal:
-    its duality gap (`_duality_gap`) over the whole l1 ball, which holds
-    the (k, tau) feasible set and alpha in it, is within the gap's
-    rounding.  No later member can then end below that residual but by
-    rounding, so the full portfolio would return the same result up to
-    rounding: on 3,000 random instances with M, N <= 40 it did in all but
-    4, whose winners ended 1 to 6 ulps lower.  The gap costs one product
-    with Phi and one with Phi^T, taken when the best run changes, unless
-    that run's full-budget loop ended "certified": it has passed the same
-    test on the same alpha and g.
+    The portfolio stops after a member once
+    (1) the best run so far fits f to 1e-6 relative;
+    (2) three members in a row lower the best residual by less than 0.5 %;
+    (3) the best run's alpha is certified optimal: its duality gap
+        (`_duality_gap`) over the whole l1 ball, which holds the (k, tau)
+        feasible set and alpha in it, is within the gap's rounding, so no
+        later member can end below that residual but by rounding; or
+    (4) the member ends on the best run's alpha, entry for entry, and that
+        alpha's l1 norm is within nnz eps tau of tau: a second warm start
+        has reached the same point with the budget binding.  Equal
+        supports give equal answers through the shared memo.
+    The gap costs one product with Phi and one with Phi^T, taken when the
+    best run changes, unless that run's full-budget loop ended
+    "certified": it has passed the same test on the same alpha and g.
+    Stops (2) and (4) are heuristics: a later member may end lower.
 
     Each stage loop of a member hands the factorization of its last
     iterate (`_clash_loop`) to the next, whose first step-2 solve starts
-    from it; `memo` and `factors` are shared by every loop of the call."""
+    from it; `memo` and `factors` are shared by every loop of the call.
+
+    The solve runs on 2^-e f with the budget 2^-e tau, e the binary
+    exponent of max |f|, and alpha, the residual norms, the history and
+    the trace's iterates and deltas are scaled back by 2^e.  Every step is
+    exact under that scaling, so the answer is the one on f itself, but an
+    f near the ends of the float64 range neither overflows nor underflows
+    its residual norms."""
     phi, f = _as_system(phi, f)
     _check_sparsity(k, phi)
+    scale = np.frexp(np.max(np.abs(f)))[1]
+    # a budget that overflows at f's scale cannot bind: the run is SP's
+    with np.errstate(over="ignore"):
+        f, tau = np.ldexp(f, -scale), float(np.ldexp(tau, -scale))
     n = phi.shape[1]
     finite = np.isfinite(tau)
     portfolio = CONTINUATION_PORTFOLIO if finite else (((), False),)
@@ -733,15 +742,30 @@ def _pursue(
             stalls = 0
         else:
             stalls += 1
+        # only a finite tau runs a second member
+        repeat = (
+            best is not None
+            and np.array_equal(alpha, best[0].alpha)
+            and abs(float(np.sum(np.abs(alpha))) - tau)
+            <= np.count_nonzero(alpha) * np.finfo(np.float64).eps * tau
+        )
         if best is None or res_norm < best[0].residual_l2:
             best = run
             certified = run[0].termination == "certified"
             if finite and not certified:
                 gap, rounding = _duality_gap(phi, f, run[0].alpha, tau)
                 certified = gap <= rounding
-        if best[0].residual_l2 <= exact_fit or stalls >= 3 or certified:
+        if best[0].residual_l2 <= exact_fit or stalls >= 3 or certified or repeat:
             break
-    return best
+    result, trace = best
+    res_norm = float(np.ldexp(result.residual_l2, scale))
+    history = np.ldexp(result.history, scale).tolist()
+    deltas = np.ldexp(trace.iterate_deltas, scale).tolist()
+    return (
+        SolverResult(np.ldexp(result.alpha, scale), res_norm, res_norm, history,
+                     result.iterations, result.termination),
+        IterateTrace(trace.supports, deltas, [np.ldexp(it, scale) for it in trace.iterates]),
+    )
 
 
 def lasso_pg_solve(
@@ -774,10 +798,11 @@ def lasso_pg_solve(
     at least as long; "stalled" once a plain step from the best point (the
     first step, or the first after a restart) does not lower the objective
     in floating point; "max-iterations" after `max_iter` iterations; and
-    "degenerate", with no iteration, when tau = 0 or Phi = 0.  The history
-    holds the squared objective at x after each iteration, so it is
-    non-increasing.  Raises ValueError for tau < 0, a NaN or negative
-    `tol`, or `max_iter` below 1.
+    "degenerate", with no iteration, when tau = 0 or Phi = 0.  `tol` is
+    absolute, the one stop test in this module that is: scaling Phi by c
+    does not scale the answer by 1/c.  The history holds the squared
+    objective at x after each iteration, so it is non-increasing.  Raises
+    ValueError for tau < 0, a NaN or negative `tol`, or `max_iter` below 1.
     """
     phi, f = _as_system(phi, f)
     if not tau >= 0:

@@ -40,6 +40,18 @@ def differing_fields(a, b):
     return [f.name for f in fields(a) if key(getattr(a, f.name)) != key(getattr(b, f.name))]
 
 
+def loop_scale(f):
+    """2^e, e the binary exponent of max |f|: `clash_solve` and `sp_solve`
+    run their loops on f / 2^e with the budget tau / 2^e."""
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(f)))[1])
+
+
+def scaled_trace(trace, c):
+    """`trace` with its iterates and deltas multiplied by c."""
+    return IterateTrace(trace.supports, [c * d for d in trace.iterate_deltas],
+                        [c * it for it in trace.iterates])
+
+
 class TestSubspacePursuit:
     def test_identity_matrix_exact_recovery(self):
         f = np.zeros(8)
@@ -201,10 +213,11 @@ class TestClash:
         spec = ProblemSpec(n=500, m=160, k=62, sigma=0.0, seed=derive_seed(777000, 44))
         p = generate(spec)
         res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=62, tau=p.tau_star))
-        members = [run for tau, run in runs if tau == p.tau_star]
+        c = loop_scale(p.f)
+        members = [run for tau, run in runs if tau == p.tau_star / c]
         winner = min(range(len(members)), key=lambda i: members[i][0].residual_l2)
         assert winner == 2 and len(members) == 5
-        assert members[winner][1] is trace
+        assert differing_fields(scaled_trace(members[winner][1], c), trace) == []
         assert len(trace.iterates) == len(res.history) == res.iterations
         assert trace.iterates[-1].tobytes() == res.alpha.tobytes()
         assert res.history[-1] == res.residual_l2
@@ -230,11 +243,12 @@ class TestClash:
         p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(321, 25),
                                  noise_mode="fixed-norm"))
         res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=p.tau_star))
-        members = [run for tau, run in runs if tau == p.tau_star]
+        c = loop_scale(p.f)
+        members = [run for tau, run in runs if tau == p.tau_star / c]
         assert len(members) == len(pursuit.CONTINUATION_PORTFOLIO) == 5
-        assert [tau / p.tau_star for tau, _ in runs[-3:-1]] == pytest.approx([0.6, 0.85])
-        assert min(m[0].residual_l2 for m in members[:-1]) > res.residual_l2
-        assert members[-1][1] is trace
+        assert [tau * c / p.tau_star for tau, _ in runs[-3:-1]] == pytest.approx([0.6, 0.85])
+        assert min(m[0].residual_l2 for m in members[:-1]) * c > res.residual_l2
+        assert differing_fields(scaled_trace(members[-1][1], c), trace) == []
         assert res.residual_l2 == pytest.approx(0.0379564408, rel=1e-6)
 
     def test_config_validation(self):
@@ -326,7 +340,7 @@ class TestCertificateStop:
                                  noise_mode="fixed-norm"))
         tau = 0.2 * p.tau_star
         res, _ = clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=tau))
-        assert loops == [tau]
+        assert loops == [tau / loop_scale(p.f)]
         gap, rounding = pursuit._duality_gap(p.phi, p.f, res.alpha, tau)
         assert gap <= rounding
 
@@ -343,19 +357,78 @@ class TestCertificateStop:
         assert res.termination == "certified"
         assert calls and 4 not in calls
 
+    @staticmethod
+    def portfolio_without_the_repeat_stop(phi, f, k, tau):
+        """The portfolio loop without the stop on a repeated point, run on
+        f itself: members run until an exact fit, three stalls or the
+        certificate.  Returns the result, the trace and the full-budget
+        runs."""
+        exact_fit = 1e-6 * float(np.sqrt(f @ f))
+        best, stalls, runs, memo, factors = None, 0, [], {}, {}
+        for schedule, momentum in pursuit.CONTINUATION_PORTFOLIO:
+            alpha, factor = np.zeros(phi.shape[1]), None
+            for budget in [fraction * tau for fraction in schedule] + [tau]:
+                result, trace, factor = _clash_loop(
+                    phi, f, k, budget, l1_project(alpha, budget), momentum, memo,
+                    factor, factors,
+                )
+                alpha = result.alpha
+            runs.append(result)
+            if best is None or result.residual_l2 < best[0].residual_l2 * (1.0 - 5e-3):
+                stalls = 0
+            else:
+                stalls += 1
+            if best is None or result.residual_l2 < best[0].residual_l2:
+                best = result, trace
+                certified = result.termination == "certified"
+                if not certified:
+                    gap, rounding = pursuit._duality_gap(phi, f, alpha, tau)
+                    certified = gap <= rounding
+            if best[0].residual_l2 <= exact_fit or stalls >= 3 or certified:
+                break
+        return best[0], best[1], runs
+
     def test_uncertified_best_run_lets_the_portfolio_go_on(self, monkeypatch):
         # clash-tau trial 146 of seed 1: member 0 wins with a gap 4.4e9
         # times its rounding, the smallest of the pass's 52 uncertified
-        # solves, and all four members run
+        # solves, at a binding budget.  Members 1-3 end on its alpha, and
+        # without the stop on a repeat the portfolio ends after member 3 on
+        # three stalls; with it, after member 1, with the same result and
+        # trace
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 146),
+                                 noise_mode="fixed-norm"))
+        tau = 0.5 * p.tau_star
+        ref, ref_trace, runs = self.portfolio_without_the_repeat_stop(p.phi, p.f, 57, tau)
+        assert len(runs) == 4
+        assert all(np.array_equal(run.alpha, ref.alpha) for run in runs)
+        assert np.sum(np.abs(ref.alpha)) == pytest.approx(tau, rel=1e-15)
         loops = []
         clash_loop = pursuit._clash_loop
         monkeypatch.setattr(pursuit, "_clash_loop",
                             lambda *a: loops.append(a[3]) or clash_loop(*a))
-        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 146),
-                                 noise_mode="fixed-norm"))
-        tau = 0.5 * p.tau_star
-        clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=tau))
-        assert loops.count(tau) == 4
+        res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=tau))
+        assert loops.count(tau / loop_scale(p.f)) == 2
+        assert differing_fields(res, ref) == []
+        assert differing_fields(trace, ref_trace) == []
+
+    def test_repeat_of_another_point_lets_the_portfolio_go_on(self, monkeypatch):
+        # the budget binds at member 0's alpha, member 1 ends elsewhere, and
+        # the momentum member, third, ends 5.3 % lower than member 0
+        phi, f, truth = gaussian_case(derive_seed(2400, 3), 30, 60, 0.01)
+        tau = 0.6 * np.sum(np.abs(truth))
+        ref, ref_trace, runs = self.portfolio_without_the_repeat_stop(phi, f, 8, tau)
+        assert np.sum(np.abs(runs[0].alpha)) == pytest.approx(tau, rel=1e-15)
+        assert not np.array_equal(runs[1].alpha, runs[0].alpha)
+        assert ref is runs[2]
+        assert ref.residual_l2 < 0.95 * runs[0].residual_l2
+        loops = []
+        clash_loop = pursuit._clash_loop
+        monkeypatch.setattr(pursuit, "_clash_loop",
+                            lambda *a: loops.append(a[3]) or clash_loop(*a))
+        res, trace = clash_solve(phi, f, PursuitConfig(sparsity=8, tau=tau))
+        assert loops.count(tau / loop_scale(f)) == len(runs) == 5
+        assert differing_fields(res, ref) == []
+        assert differing_fields(trace, ref_trace) == []
 
     def test_no_gap_at_infinite_tau(self, monkeypatch):
         def refuse(*args):
@@ -1089,6 +1162,40 @@ class TestInputChecks:
         assert np.array_equal(exact.alpha / two, ref.alpha)
         assert exact.history == [two * h for h in ref.history]
         assert exact.iterations == ref.iterations
+
+    @pytest.mark.parametrize("solver", ["clash", "sp"])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e160])
+    def test_pursuits_at_the_ends_of_the_float_range(self, solver, scale):
+        # SP and CLASH solve at a power-of-two scale of f: both returned the
+        # support [7, 30] as "converged", with the residual norm inf at
+        # 1e160 and 0 at 1e-300
+        phi, f, _ = self.two_spike_case()
+
+        def solve(c):
+            if solver == "sp":
+                return sp_solve(phi, c * f, PursuitConfig(sparsity=2))
+            return clash_solve(phi, c * f, PursuitConfig(sparsity=2, tau=3.0 * c))
+
+        ref, ref_trace = solve(1.0)
+        res, _ = solve(scale)
+        assert np.array_equal(np.nonzero(res.alpha)[0], [3, 7])
+        np.testing.assert_allclose(res.alpha / scale, ref.alpha, rtol=1e-12)
+        assert 0.0 < res.residual_l2 < np.inf
+        # at the nearest power of two the answer scales bit for bit
+        two = 2.0 ** np.round(np.log2(scale))
+        exact, exact_trace = solve(two)
+        assert np.array_equal(exact.alpha / two, ref.alpha)
+        assert exact.history == [two * h for h in ref.history]
+        assert (exact.iterations, exact.termination) == (ref.iterations, ref.termination)
+        assert differing_fields(exact_trace, scaled_trace(ref_trace, two)) == []
+
+    def test_budget_that_overflows_at_the_scale_of_f(self):
+        # 1e300 at the scale of 1e-300 * f is above the float64 range: the
+        # budget cannot bind, and the run is SP's
+        phi, f, _ = self.two_spike_case()
+        clash = clash_solve(phi, 1e-300 * f, PursuitConfig(sparsity=2, tau=1e300))[0]
+        sp = sp_solve(phi, 1e-300 * f, PursuitConfig(sparsity=2))[0]
+        assert differing_fields(clash, sp) == []
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_overflowing_column_norms_rejected(self, solver):
