@@ -49,17 +49,21 @@ from .results import IterateTrace, SolverResult
 
 
 # Warm-start portfolio for `clash_solve`: (norm-budget schedule, momentum)
-# pairs.  A schedule lists fractions of the final budget tau, ascending
-# inside (0, 1): the early stages work under stronger shrinkage, where
-# support identification is easier, and each stage's answer lies in the
-# next stage's ball, so `_pursue`'s projections return their input.
-# Momentum takes the expansion gradient at an extrapolated point.  The
-# smallest final residual wins, ties keeping the earliest.  CHANGES.md
-# records the census that chose these members.
+# pairs, run in this order.  A schedule lists fractions of the final budget
+# tau, ascending inside (0, 1): the early stages work under stronger
+# shrinkage, where support identification is easier, and each stage's
+# answer lies in the next stage's ball, so `_pursue`'s projections return
+# their input.  Momentum takes the expansion gradient at an extrapolated
+# point.  The smallest final residual wins, ties keeping the earliest.  The
+# two one-loop members come first: once the best run's alpha binds, a later
+# member's full-budget loop ends on reaching it, and `_pursue` stops there
+# (its stop 4), so the member that reaches it in the fewest loops runs
+# before the staged ones.  CHANGES.md records the census that chose these
+# members and their order.
 CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
     ((), False),
-    ((0.7, 0.8, 0.9, 0.95), False),
     ((), True),
+    ((0.7, 0.8, 0.9, 0.95), False),
     ((0.5, 0.65, 0.8, 0.9, 0.96), False),
     ((0.6, 0.85), False),
 )
@@ -476,6 +480,7 @@ def _clash_loop(
     memo: dict | None = None,
     factor: tuple[np.ndarray, np.ndarray] | None = None,
     factors: dict | None = None,
+    target: np.ndarray | None = None,
 ) -> tuple[SolverResult, IterateTrace, tuple[np.ndarray, np.ndarray] | None]:
     """The four-step iteration at a fixed budget (k, tau), from alpha0.
 
@@ -499,6 +504,10 @@ def _clash_loop(
     (`_duality_gap`), alpha minimizes over the ball, so over every
     extended support, and the next iteration would return it again.  The
     loop then ends with "certified", counting the iterations run.
+
+    With a `target`, the loop ends with "repeat" once an iterate equals it
+    entry for entry, counting that iteration: `_pursue` passes the best
+    run's alpha when its budget binds, and stops the portfolio on it.
 
     With tau = inf the inner solves are plain restricted least squares and
     the loop is subspace pursuit, stop rule included: an iterate whose
@@ -597,6 +606,9 @@ def _clash_loop(
         residual, res_norm = residual_new, res_norm_new
         history.append(res_norm)
         trace.record(support, delta, alpha)
+        if target is not None and np.array_equal(alpha, target):
+            termination = "repeat"
+            break
         if delta <= _TOLERANCE * float(np.sqrt(alpha @ alpha)):
             termination = "converged"
             break
@@ -639,15 +651,17 @@ def clash_solve(
     The iteration map can stall on fixed points short of the best
     solution near its recovery phase transition, so with a finite tau the
     solver runs a deterministic portfolio of five warm starts
-    (`CONTINUATION_PORTFOLIO`): a plain run from zero, one with momentum in
-    the expansion, and three through schedules of reduced norm budgets
-    (fractions of tau) before the full-budget loop.  Every stage iterate
-    is feasible for the final constraint set (stage budgets never exceed
-    tau).  The portfolio stops after a member once the best run fits f to
-    1e-6 relative, once three members in a row lower the best residual by
-    less than 0.5 %, once the best run is certified optimal over the whole
-    l1 ball, or once the member ends on the best run's alpha with the
-    budget binding (`_pursue`).  The smallest final residual wins, ties
+    (`CONTINUATION_PORTFOLIO`), in this order: a plain run from zero, one
+    with momentum in the expansion, and three through schedules of reduced
+    norm budgets (fractions of tau) before the full-budget loop.  Every
+    stage iterate is feasible for the final constraint set (stage budgets
+    never exceed tau).  The portfolio stops after a member once the best
+    run fits f to 1e-6 relative, once three members in a row lower the
+    best residual by less than 0.5 %, once the best run is certified
+    optimal over the whole l1 ball, or once the member ends on the best
+    run's alpha with the budget binding (`_pursue`); that last stop also
+    fires inside a later member's full-budget loop, which ends on the
+    first iterate equal to that alpha.  The smallest final residual wins, ties
     keeping the earliest run; the reported history, trace and iteration
     count are the winning full-budget run's, and the trace holds every
     iterate of that run.  The solve runs at a power-of-two scale of f and
@@ -688,7 +702,9 @@ def _pursue(
     """The body of `clash_solve` and `sp_solve`: the portfolio when tau is
     finite, one cold start from alpha = 0 when it is not.
 
-    The portfolio stops after a member once
+    The portfolio runs `CONTINUATION_PORTFOLIO` in order: the plain run,
+    the momentum run, then the three staged members.  It stops after a
+    member once
     (1) the best run so far fits f to 1e-6 relative;
     (2) three members in a row lower the best residual by less than 0.5 %;
     (3) the best run's alpha is certified optimal: its duality gap
@@ -698,7 +714,10 @@ def _pursue(
     (4) the member ends on the best run's alpha, entry for entry, and that
         alpha's l1 norm is within nnz eps tau of tau: a second warm start
         has reached the same point with the budget binding.  Equal
-        supports give equal answers through the shared memo.
+        supports give equal answers through the shared memo.  The test
+        runs inside each later member's full-budget loop: that alpha is
+        its `target` (`_clash_loop`), and the loop ends "repeat" on the
+        first iterate equal to it, instead of running on to its own stop.
     The gap costs one product with Phi and one with Phi^T, taken when the
     best run changes, unless that run's full-budget loop ended
     "certified": it has passed the same test on the same alpha and g.
@@ -725,36 +744,36 @@ def _pursue(
     portfolio = CONTINUATION_PORTFOLIO if finite else (((), False),)
     exact_fit = 1e-6 * float(np.sqrt(f @ f))
     best: tuple[SolverResult, IterateTrace] | None = None
-    stalls, certified = 0, False
+    stalls, certified, target = 0, False, None
     memo: dict = {}
     factors: dict = {}
     for schedule, momentum in portfolio:
         alpha, factor = np.zeros(n), None
-        for budget in [fraction * tau for fraction in schedule] + [tau]:
+        budgets = [fraction * tau for fraction in schedule] + [tau]
+        for stage, budget in enumerate(budgets, 1):
             result, trace, factor = _clash_loop(
                 phi, f, k, budget, l1_project(alpha, budget), momentum, memo,
-                factor, factors,
+                factor, factors, target if stage == len(budgets) else None,
             )
             alpha = result.alpha
-        run = result, trace
-        res_norm = run[0].residual_l2
+        res_norm = result.residual_l2
         if best is None or res_norm < best[0].residual_l2 * (1.0 - 5e-3):
             stalls = 0
         else:
             stalls += 1
-        # only a finite tau runs a second member
-        repeat = (
-            best is not None
-            and np.array_equal(alpha, best[0].alpha)
-            and abs(float(np.sum(np.abs(alpha))) - tau)
-            <= np.count_nonzero(alpha) * np.finfo(np.float64).eps * tau
-        )
         if best is None or res_norm < best[0].residual_l2:
-            best = run
-            certified = run[0].termination == "certified"
+            best = result, trace
+            certified = result.termination == "certified"
             if finite and not certified:
-                gap, rounding = _duality_gap(phi, f, run[0].alpha, tau)
+                gap, rounding = _duality_gap(phi, f, alpha, tau)
                 certified = gap <= rounding
+            # stop (4)'s target for the later members: alpha, if the budget
+            # binds there; only a finite tau runs a second member
+            l1_gap = abs(float(np.sum(np.abs(alpha))) - tau)
+            eps = np.finfo(np.float64).eps
+            binds = finite and l1_gap <= np.count_nonzero(alpha) * eps * tau
+            target = alpha if binds else None
+        repeat = result.termination == "repeat"
         if best[0].residual_l2 <= exact_fit or stalls >= 3 or certified or repeat:
             break
     result, trace = best
@@ -803,6 +822,12 @@ def lasso_pg_solve(
     does not scale the answer by 1/c.  The history holds the squared
     objective at x after each iteration, so it is non-increasing.  Raises
     ValueError for tau < 0, a NaN or negative `tol`, or `max_iter` below 1.
+
+    The solve runs on 2^-e f, e the binary exponent of max |f|, with tau
+    and `tol` scaled alike, and scales x and the residual norm back by 2^e,
+    the history by 2^2e, so an f near the ends of the float64 range
+    neither underflows nor overflows the objective the steps compare; the
+    history reads inf where the squared objective exceeds float64.
     """
     phi, f = _as_system(phi, f)
     if not tau >= 0:
@@ -812,13 +837,18 @@ def lasso_pg_solve(
     check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    scale = np.frexp(np.max(np.abs(f)))[1]
+    # a budget or tolerance that overflows at f's scale acts as inf
+    with np.errstate(over="ignore"):
+        f = np.ldexp(f, -scale)
+        tau, tol = float(np.ldexp(tau, -scale)), float(np.ldexp(tol, -scale))
     n = phi.shape[1]
     x = np.zeros(n)
     lam = _power_iter_cols(phi)
     if lam == 0.0 or tau == 0.0:
         alpha = l1_project(x, tau)
         r = phi @ alpha - f
-        nrm = float(np.sqrt(r @ r))
+        nrm = float(np.ldexp(np.sqrt(r @ r), scale))
         return SolverResult(alpha, nrm, nrm, [nrm * nrm], 0, "degenerate")
     curve = lam
     rx = phi @ x - f
@@ -860,8 +890,11 @@ def lasso_pg_solve(
             termination = "stalled"
             break
         t = 1.0 if restart else t_next
-    nrm = float(np.sqrt(fx))
-    return SolverResult(x, nrm, nrm, history, iterations, termination)
+    nrm = float(np.ldexp(np.sqrt(fx), scale))
+    # the squared objective of an f near the top of the range exceeds float64
+    with np.errstate(over="ignore"):
+        history = np.ldexp(history, 2 * scale).tolist()
+    return SolverResult(np.ldexp(x, scale), nrm, nrm, history, iterations, termination)
 
 
 def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:

@@ -200,8 +200,9 @@ class TestClash:
         assert res.residual_l2 == res.history[-1]
 
     def test_trace_is_the_winning_members_run(self, monkeypatch):
-        # C6 instance 44: member 2 wins and members 3 and 4 run after it, so
-        # the reported trace is neither member 0's nor the last run's
+        # C6 instance 44: member 1, the momentum run, wins and members 2-4
+        # run after it, so the reported trace is neither member 0's nor the
+        # last run's
         runs = []
         clash_loop = pursuit._clash_loop
 
@@ -216,7 +217,7 @@ class TestClash:
         c = loop_scale(p.f)
         members = [run for tau, run in runs if tau == p.tau_star / c]
         winner = min(range(len(members)), key=lambda i: members[i][0].residual_l2)
-        assert winner == 2 and len(members) == 5
+        assert winner == 1 and len(members) == 5
         assert differing_fields(scaled_trace(members[winner][1], c), trace) == []
         assert len(trace.iterates) == len(res.history) == res.iterations
         assert trace.iterates[-1].tobytes() == res.alpha.tobytes()
@@ -227,6 +228,14 @@ class TestClash:
         # projections before each loop in `_pursue` return their input
         for schedule, _ in pursuit.CONTINUATION_PORTFOLIO:
             assert all(a < b for a, b in zip((0.0,) + schedule, schedule + (1.0,)))
+
+    def test_portfolio_runs_its_one_loop_members_first(self):
+        # the momentum member, one loop, reaches member 0's point at a
+        # binding budget sooner than a staged member, and stops the
+        # portfolio there
+        staged = [bool(schedule) for schedule, _ in pursuit.CONTINUATION_PORTFOLIO]
+        assert staged == sorted(staged)
+        assert pursuit.CONTINUATION_PORTFOLIO[:2] == (((), False), ((), True))
 
     def test_last_member_can_win(self, monkeypatch):
         # tau-sweep trial 25 of seed 321 at tau = ||alpha*||_1: all five
@@ -388,16 +397,20 @@ class TestCertificateStop:
                 break
         return best[0], best[1], runs
 
-    def test_uncertified_best_run_lets_the_portfolio_go_on(self, monkeypatch):
-        # clash-tau trial 146 of seed 1: member 0 wins with a gap 4.4e9
-        # times its rounding, the smallest of the pass's 52 uncertified
-        # solves, at a binding budget.  Members 1-3 end on its alpha, and
-        # without the stop on a repeat the portfolio ends after member 3 on
-        # three stalls; with it, after member 1, with the same result and
-        # trace
+    @staticmethod
+    def uncertified_case():
+        # clash-tau trial 146 of seed 1
         p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 146),
                                  noise_mode="fixed-norm"))
-        tau = 0.5 * p.tau_star
+        return p, 0.5 * p.tau_star
+
+    def test_uncertified_best_run_lets_the_portfolio_go_on(self, monkeypatch):
+        # member 0 wins with a gap 4.4e9 times its rounding, the smallest of
+        # the clash-tau pass's 52 uncertified solves, at a binding budget.
+        # Members 1-3 end on its alpha, and without the stop on a repeat the
+        # portfolio ends after member 3 on three stalls; with it, after
+        # member 1, with the same result and trace
+        p, tau = self.uncertified_case()
         ref, ref_trace, runs = self.portfolio_without_the_repeat_stop(p.phi, p.f, 57, tau)
         assert len(runs) == 4
         assert all(np.array_equal(run.alpha, ref.alpha) for run in runs)
@@ -411,16 +424,41 @@ class TestCertificateStop:
         assert differing_fields(res, ref) == []
         assert differing_fields(trace, ref_trace) == []
 
+    def test_momentum_member_ends_on_the_best_runs_point(self, monkeypatch):
+        # the instance above: member 1, the momentum run, is handed member
+        # 0's alpha and ends "repeat" on its third iterate, which equals it;
+        # with no target it runs a fourth iteration that returns it again
+        p, tau = self.uncertified_case()
+        ref, ref_trace, runs = self.portfolio_without_the_repeat_stop(p.phi, p.f, 57, tau)
+        loops = []
+        clash_loop = pursuit._clash_loop
+        monkeypatch.setattr(pursuit, "_clash_loop",
+                            lambda *a: loops.append(clash_loop(*a)) or loops[-1])
+        res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=57, tau=tau))
+        c = loop_scale(p.f)
+        momentum = loops[1][0]
+        assert (momentum.termination, momentum.iterations) == ("repeat", 3)
+        assert (runs[1].termination, runs[1].iterations) == ("converged", 4)
+        assert [c * h for h in momentum.history] == runs[1].history[:3]
+        assert np.array_equal(c * momentum.alpha, ref.alpha)
+        assert differing_fields(res, ref) == []
+        assert differing_fields(trace, ref_trace) == []
+
     def test_repeat_of_another_point_lets_the_portfolio_go_on(self, monkeypatch):
-        # the budget binds at member 0's alpha, member 1 ends elsewhere, and
-        # the momentum member, third, ends 5.3 % lower than member 0
+        # the budget binds at member 0's alpha; member 1, the momentum run,
+        # ends elsewhere, 5.3 % lower, with the budget binding there too;
+        # members 2-4 each end on one third point, and the portfolio runs
+        # until their three stalls
         phi, f, truth = gaussian_case(derive_seed(2400, 3), 30, 60, 0.01)
         tau = 0.6 * np.sum(np.abs(truth))
         ref, ref_trace, runs = self.portfolio_without_the_repeat_stop(phi, f, 8, tau)
-        assert np.sum(np.abs(runs[0].alpha)) == pytest.approx(tau, rel=1e-15)
+        for run in runs[:2]:
+            assert np.sum(np.abs(run.alpha)) == pytest.approx(tau, rel=1e-15)
         assert not np.array_equal(runs[1].alpha, runs[0].alpha)
-        assert ref is runs[2]
+        assert ref is runs[1]
         assert ref.residual_l2 < 0.95 * runs[0].residual_l2
+        assert not np.array_equal(runs[2].alpha, ref.alpha)
+        assert all(np.array_equal(run.alpha, runs[2].alpha) for run in runs[3:])
         loops = []
         clash_loop = pursuit._clash_loop
         monkeypatch.setattr(pursuit, "_clash_loop",
@@ -1163,31 +1201,44 @@ class TestInputChecks:
         assert exact.history == [two * h for h in ref.history]
         assert exact.iterations == ref.iterations
 
-    @pytest.mark.parametrize("solver", ["clash", "sp"])
+    @pytest.mark.parametrize("solver", ["clash", "sp", "lasso-pg"])
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e160])
     def test_pursuits_at_the_ends_of_the_float_range(self, solver, scale):
-        # SP and CLASH solve at a power-of-two scale of f: both returned the
-        # support [7, 30] as "converged", with the residual norm inf at
-        # 1e160 and 0 at 1e-300
+        # SP, CLASH and Lasso solve at a power-of-two scale of f: SP and
+        # CLASH returned the support [7, 30] as "converged", with the
+        # residual norm inf at 1e160 and 0 at 1e-300, and Lasso, its tol
+        # scaled with f, stopped after one step with 37 nonzeros, as
+        # "converged" at 1e-300 and as "stalled" with the residual norm inf
+        # at 1e160
         phi, f, _ = self.two_spike_case()
 
         def solve(c):
             if solver == "sp":
                 return sp_solve(phi, c * f, PursuitConfig(sparsity=2))
+            if solver == "lasso-pg":
+                # its tol is absolute, so it scales with f
+                return lasso_pg_solve(phi, c * f, 3.0 * c, tol=1e-8 * c), None
             return clash_solve(phi, c * f, PursuitConfig(sparsity=2, tau=3.0 * c))
 
         ref, ref_trace = solve(1.0)
         res, _ = solve(scale)
-        assert np.array_equal(np.nonzero(res.alpha)[0], [3, 7])
-        np.testing.assert_allclose(res.alpha / scale, ref.alpha, rtol=1e-12)
+        # Lasso ends 5e-11 off the minimizer's zeros, which its subnormals
+        # at 1e-300 do not hold to 1e-12 relative
+        small = 1e-12 * np.max(np.abs(ref.alpha)) if solver == "lasso-pg" else 0.0
+        assert np.array_equal(np.nonzero(np.abs(res.alpha) > 1e3 * small * scale)[0], [3, 7])
+        np.testing.assert_allclose(res.alpha / scale, ref.alpha, rtol=1e-12, atol=small)
         assert 0.0 < res.residual_l2 < np.inf
-        # at the nearest power of two the answer scales bit for bit
-        two = 2.0 ** np.round(np.log2(scale))
-        exact, exact_trace = solve(two)
-        assert np.array_equal(exact.alpha / two, ref.alpha)
-        assert exact.history == [two * h for h in ref.history]
+        # at the nearest power of two the answer scales bit for bit; Lasso's
+        # history holds squared residual norms
+        e = int(np.round(np.log2(scale)))
+        exact, exact_trace = solve(np.ldexp(1.0, e))
+        assert np.array_equal(exact.alpha, np.ldexp(ref.alpha, e))
+        with np.errstate(over="ignore"):
+            power = 2 if solver == "lasso-pg" else 1
+            assert exact.history == np.ldexp(ref.history, power * e).tolist()
         assert (exact.iterations, exact.termination) == (ref.iterations, ref.termination)
-        assert differing_fields(exact_trace, scaled_trace(ref_trace, two)) == []
+        if ref_trace is not None:
+            assert differing_fields(exact_trace, scaled_trace(ref_trace, np.ldexp(1.0, e))) == []
 
     def test_budget_that_overflows_at_the_scale_of_f(self):
         # 1e300 at the scale of 1e-300 * f is above the float64 range: the
