@@ -8,28 +8,14 @@ is recast as a two-player zero-sum game with the bilinear loss
 L(P, a) = <P, Phi a - f> played between a dual player choosing P in the
 unit lp ball (p = q / (q - 1)) and a primal player choosing a in the l1
 ball of radius tau.  Each round the primal player answers the current P
-with an exactly 1-sparse best response, and the dual player takes one
-step of mirror ascent on the loss.  The average of the T primal plays is
-therefore T-sparse and l1-feasible by construction, and its residual is
-within an additive D*G / (2 sqrt(T)) of the best l1-feasible residual.
-
-Both dual steps are closed forms with rate eta / 2.  At q = 2 the dual
-player plays in the squared-Euclidean geometry: P + (eta / 2) r, shrunk
-radially onto the unit 2-ball.  At q = inf it plays multiplicative
-weights (Freund & Schapire 1999) on 2M + 1 lifted simplex weights that
-encode the l1 ball: w <- w * exp((eta / 2) [r; -r; 0]), renormalized.
-The Dantzig-selector form is the q = inf game on the pair
-(Phi^T Phi, Phi^T f), played through Phi and Phi^T without storing the
-N x N matrix Phi^T Phi.
-
-Both forms share one round loop that sees its matrix A only through the
-correlations A^T P and single columns of A.  A round costs one
-correlation, one column and O(M) for the dual step: the best response is
-1-sparse, so its residual is one column of A, scaled, minus f.  On Phi
-the column is a lookup; in the Dantzig form it is the product
-Phi^T phi_i.  The Dantzig form's loss bound needs the row maxima of
-|Phi^T Phi|; a Cauchy-Schwarz screen on the column norms rules out the
-rows that cannot set it, and only the rest are read.
+with an exactly 1-sparse best response (`sparse_best_response`), and the
+dual player takes one step of mirror ascent on the loss (`max_update`).
+The average of the T primal plays is therefore T-sparse and l1-feasible
+by construction, and its residual is within an additive D*G / (2 sqrt(T))
+of the best l1-feasible residual (`game_solve`).  `dantzig_game_solve`
+plays the q = inf game on (Phi^T Phi, Phi^T f), and both forms share the
+round loop `_play`.  Both raise ValueError unless Phi and f are finite
+and f has one entry per row of Phi (`numerics.as_system`).
 """
 
 from __future__ import annotations
@@ -176,14 +162,14 @@ def max_update(
 
 
 def _dual_step(dual: np.ndarray, residual: np.ndarray, rate: float, lifted: bool) -> np.ndarray:
-    """The dual step at rate eta / 2, unchecked.
+    """The step of `max_update` at `rate`, unchecked: multiplicative
+    weights (Freund & Schapire 1999) when `lifted`, else the shrunk
+    Euclidean step.
 
-    Lifted (q = inf): multiplicative weights w * exp(rate * [r; -r; 0])
-    over their sum.  In the game |r_i| <= G, so a step scales a weight
-    by at most exp(D / sqrt(T)) and nothing overflows.  A weight that
-    falls below the normal range rounds to a subnormal or to 0, too small
-    to move P; no log is taken, so no floor is needed.  Otherwise
-    (q = 2): P + rate * r, shrunk radially onto the unit 2-ball.
+    In the game |r_i| <= G, so a lifted step scales a weight by at most
+    exp(D / sqrt(T)) and nothing overflows.  A weight that falls below
+    the normal range rounds to a subnormal or to 0, too small to move P;
+    no log is taken, so no floor is needed.
     """
     if lifted:
         w = dual * np.exp(rate * np.concatenate((residual, -residual, [0.0])))
@@ -232,12 +218,9 @@ def game_solve(
     """Run T rounds of primal best response / dual ascent and average.
 
     Output guarantees (by construction): ||alpha||_0 <= T and
-    ||alpha||_1 <= tau.  The certificate carries G (loss bound over
-    1-sparse feasible plays), D (geometry-specific Bregman diameter from
-    the initial dual strategy: 1 for p = 2 started at zero,
-    sqrt(2 ln(2M + 1)) for the p = 1 lift started uniform), and the
-    additive bound D*G / (2 sqrt(T)).  Raises ValueError unless Phi and f
-    are finite and f has one entry per row of Phi.
+    ||alpha||_1 <= tau.  The certificate's diameter D is 1 for p = 2
+    started at zero and sqrt(2 ln(2M + 1)) for the p = 1 lift started
+    uniform.
     """
     phi, f = as_system(phi, f)
     return _play(
@@ -258,12 +241,10 @@ def dantzig_game_solve(
 
     Rounds apply G = Phi^T Phi as Phi^T (Phi p) and take its column i as
     Phi^T phi_i.  The last M columns played are kept, no more memory than
-    Phi itself (a solve plays about k distinct columns), so no N x N
-    matrix is stored.  The loss bound reads only the rows of G that pass
-    a Cauchy-Schwarz screen (`_dantzig_bound`).  The certificate and
-    residuals refer to the transformed system, i.e. the achieved residual
-    is ||Phi^T Phi alpha - Phi^T f||_inf.  Raises ValueError unless Phi
-    and f are finite and f has one entry per row of Phi.
+    Phi itself, so no N x N matrix is stored.  The loss bound reads only
+    the rows of G that pass a Cauchy-Schwarz screen (`_dantzig_bound`).
+    The certificate and residuals refer to the transformed system, i.e.
+    the achieved residual is ||Phi^T Phi alpha - Phi^T f||_inf.
     """
     phi, f = as_system(phi, f)
     fg = phi.T @ f
@@ -326,7 +307,8 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
     residual A play - f is the column lookup -tau sign(r_i) A[:, i] - f
     (equal to the dense product, which only adds exact zeros), and whose
     loss is <P, residual>.  The dual step is `_dual_step` at rate eta / 2,
-    the step `max_update` takes in the game's geometries.
+    the step `max_update` takes in the game's geometries.  So a round
+    costs one correlation, one column and O(M).
     """
     m = f.size
     t_rounds, q, tau = cfg.rounds, cfg.q, cfg.tau

@@ -51,8 +51,14 @@ def check_integer(name: str, value) -> None:
 
 
 def as_index_set(support, n: int) -> np.ndarray:
-    """Validate a support set: sorted, distinct column indices in [0, n)."""
-    s = np.asarray(support, dtype=np.int64).ravel()
+    """Validate a support set: sorted, distinct column indices in [0, n),
+    as int64.  Integer-valued floats pass; any other value raises
+    ValueError instead of being truncated."""
+    raw = np.asarray(support).ravel()
+    with np.errstate(invalid="ignore"):
+        s = raw.astype(np.int64)
+    if not np.array_equal(s, raw):
+        raise ValueError("support indices must be integers")
     if s.size == 0:
         return s
     if np.any(s < 0) or np.any(s >= n):

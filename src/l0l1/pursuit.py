@@ -1,40 +1,19 @@
 """Hard-thresholding pursuits and the projected-gradient Lasso baseline.
 
-* `sp_solve` - subspace pursuit: extend the working support with the top-k
-  residual correlations, least-squares fit on the union of at most
-  min(2k, M) columns, prune back to k, and refit.  It is `clash_solve` at
-  tau = inf.
-* `clash_solve` - the same outer pattern with the l1 budget enforced in
-  the inner solves: active set expansion, greedy descent with shrinkage
-  over the extended support, combinatorial selection, and an l1-aware
-  de-bias on the pruned support.  Each inner solve is l1-constrained
-  least squares on at most 2k columns, solved exactly by block principal
-  pivoting on the sign pattern with a one-index-at-a-time backup,
-  warm-started from the previous iterate, and each distinct one is
-  solved once per `clash_solve` call.  The step-2 solve starts from the
-  G_AA^{-1} that the previous iterate's solve ended on.  An inner answer
-  is accepted once its optimality conditions, computed from the Gram
-  block, hold to rounding, however the updated inverse G_AA^{-1} it was
-  reached with drifted.  With tau = inf the inner solves collapse to
-  plain restricted least squares, solved directly
-  (`numerics.restricted_lsq`), and the loop is subspace pursuit's.  At a
-  finite tau the loop runs from a portfolio of warm starts, whose stops
-  `_pursue` lists.
-* `lasso_pg_solve` - monotone FISTA with adaptive restart over the full
-  coordinate space, with the l1 ball projection and a backtracked step of
-  at least 1/L.
-* `iht_solve` - normalized iterative hard thresholding, kept as a
-  comparison baseline: a line-search step on the current support, shrunk
-  when the thresholded point leaves that support, with the support's
-  columns kept between iterations.
+* `clash_solve` - the joint (k, tau) pursuit.  Its loop is `_clash_loop`,
+  its exact inner solve `_l1_restricted_lsq`, and its portfolio of warm
+  starts `_pursue`.
+* `sp_solve` - subspace pursuit, `clash_solve` at tau = inf.
+* `lasso_pg_solve` - monotone FISTA over the l1 ball, a baseline.
+* `iht_solve` - normalized iterative hard thresholding, a baseline.
 
 All top-k selections break magnitude ties toward the lowest index, so
 every solver is deterministic given its inputs.  Every solver rejects a
 non-finite Phi or f, an f whose length is not Phi's row count, and a Phi
-whose squared column norms overflow, with ValueError.  The stop tests of
+whose squared column norms overflow, with ValueError (`_as_system`), and
+solves at a power-of-two scale of f (`_unit_scale`).  The stop tests of
 SP, CLASH and IHT are relative, so scaling Phi by c scales their answer
-by 1/c; `lasso_pg_solve`'s `tol` is absolute, so its answer does not
-scale so.
+by 1/c.
 """
 
 from __future__ import annotations
@@ -48,18 +27,8 @@ from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_su
 from .results import IterateTrace, SolverResult
 
 
-# Warm-start portfolio for `clash_solve`: (norm-budget schedule, momentum)
-# pairs, run in this order.  A schedule lists fractions of the final budget
-# tau, ascending inside (0, 1): the early stages work under stronger
-# shrinkage, where support identification is easier, and each stage's
-# answer lies in the next stage's ball, so `_pursue`'s projections return
-# their input.  Momentum takes the expansion gradient at an extrapolated
-# point.  The smallest final residual wins, ties keeping the earliest.  The
-# two one-loop members come first: once the best run's alpha binds, a later
-# member's full-budget loop ends on reaching it, and `_pursue` stops there
-# (its stop 4), so the member that reaches it in the fewest loops runs
-# before the staged ones.  CHANGES.md records the census that chose these
-# members and their order.
+# (stage budgets as fractions of tau, momentum) for each warm start of
+# `clash_solve`, in the order `_pursue` runs them
 CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
     ((), False),
     ((), True),
@@ -74,6 +43,9 @@ CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
 _TOLERANCE = 1e-6
 _MAX_ITERATIONS = 100
 _IHT_MAX_ITERATIONS = 500
+# Lasso's power iteration: its cap, and the relative change that stops it
+_POWER_ITERATIONS = 20
+_POWER_TOLERANCE = 1e-6
 # normalized IHT's step shrinkage: c bounds the step against the move's
 # curvature, and a rejected step is divided by kappa (1 - c)
 _NIHT_C = 0.01
@@ -84,14 +56,9 @@ _LASSO_SHRINK = 0.9
 
 @dataclass
 class PursuitConfig:
-    """Budgets of the pursuits: the sparsity k and the l1 budget tau.
-
-    `tau` may be +inf for SP-style runs where the norm budget is
-    inactive; `clash_solve` runs its warm-start portfolio
-    (`CONTINUATION_PORTFOLIO`) exactly when tau is finite.  Nothing else
-    is settable: the outer loop stops once the relative iterate change is
-    at most 1e-6 or after 100 iterations, and every inner least-squares
-    problem, l1-constrained or not, is solved exactly.
+    """Budgets of the pursuits: the sparsity k and the l1 budget tau,
+    +inf for none (SP).  Nothing else is settable: `_clash_loop` and
+    `_pursue` state the stops, and every inner solve is exact.
     """
 
     sparsity: int
@@ -136,28 +103,63 @@ def _check_sparsity(k: int, phi: np.ndarray) -> None:
         raise ValueError(f"sparsity {k} exceeds min(M, N) = min({m}, {n})")
 
 
-def _power_iter_cols(a: np.ndarray, iters: int = 20, rel_tol: float = 1e-6) -> float:
-    """Largest eigenvalue of A^T A without forming the Gram matrix.
+def _unit_scale(f: np.ndarray, *budgets: float) -> tuple:
+    """(e, 2^-e f, 2^-e b for each budget b), e the binary exponent of
+    max |f|, so the scaled f peaks in [1/2, 1); `_scale_back` undoes it.
 
-    Power iteration from the uniform unit vector.  When that vector lies
-    in A's null space, it runs again from the unit vector of A's longest
-    column, so the estimate is positive whenever A is nonzero (short of
-    underflow).  Raises ValueError if the estimate overflows.
+    Power-of-two scaling is exact, so each solver's answer is the one on
+    f itself (Lasso's with `tol` scaled too), but an f near either end of
+    the float64 range neither overflows nor underflows the residual norms
+    and objectives the steps compare.  A budget that overflows at f's
+    scale becomes inf and cannot bind.
     """
+    e = np.frexp(np.max(np.abs(f)))[1]
+    with np.errstate(over="ignore"):
+        return (e, np.ldexp(f, -e), *(float(np.ldexp(b, -e)) for b in budgets))
+
+
+def _scale_back(e: int, result: SolverResult, trace: IterateTrace | None = None,
+                power: int = 1):
+    """A `result` computed on 2^-e f (`_unit_scale`), for f itself: alpha
+    and the residual norms times 2^e, and the history, of residual norms
+    to the `power`, times 2^(power e), reading inf where that overflows.
+    With a `trace`, returns (result, trace) with the trace's iterates and
+    deltas scaled like alpha."""
+    with np.errstate(over="ignore"):
+        history = np.ldexp(result.history, power * e).tolist()
+    scaled = SolverResult(
+        np.ldexp(result.alpha, e), float(np.ldexp(result.residual_l2, e)),
+        float(np.ldexp(result.residual_q, e)), history, result.iterations,
+        result.termination,
+    )
+    if trace is None:
+        return scaled
+    deltas = np.ldexp(trace.iterate_deltas, e).tolist()
+    return scaled, IterateTrace(
+        trace.supports, deltas, [np.ldexp(it, e) for it in trace.iterates]
+    )
+
+
+def _power_iter_cols(a: np.ndarray) -> float:
+    """Largest eigenvalue of A^T A by power iteration, without forming
+    the Gram matrix, from the uniform unit vector, or, if that lies in A's
+    null space, from the unit vector of A's longest column: positive
+    whenever A is nonzero (short of underflow).  Raises ValueError if the
+    estimate overflows."""
     n = a.shape[1]
-    lam = _power_iter(a, np.full(n, 1.0 / np.sqrt(n)), iters, rel_tol)
+    lam = _power_iter(a, np.full(n, 1.0 / np.sqrt(n)))
     if lam == 0.0 and np.any(a):
         start = np.zeros(n)
         start[np.argmax(np.einsum("ij,ij->j", a, a))] = 1.0
-        lam = _power_iter(a, start, iters, rel_tol)
+        lam = _power_iter(a, start)
     return lam
 
 
-def _power_iter(a: np.ndarray, v: np.ndarray, iters: int, rel_tol: float) -> float:
+def _power_iter(a: np.ndarray, v: np.ndarray) -> float:
     """Power iteration on A^T A from the unit vector v; 0 if it meets the
     null space."""
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERATIONS):
         with np.errstate(over="ignore", invalid="ignore"):
             w = a.T @ (a @ v)
             nw = float(np.sqrt(w @ w))
@@ -166,7 +168,7 @@ def _power_iter(a: np.ndarray, v: np.ndarray, iters: int, rel_tol: float) -> flo
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if lam > 0 and abs(nw - lam) <= rel_tol * nw:
+        if lam > 0 and abs(nw - lam) <= _POWER_TOLERANCE * nw:
             return nw
         lam = nw
     return lam
@@ -183,21 +185,16 @@ def _l1_restricted_lsq(
     """Exact minimizer of ||f - Phi v||_2^2 over supp(v) in `support`,
     ||v||_1 <= tau, and its factorization.
 
-    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and block
-    principal pivoting on the sign pattern finds the minimizer,
-    warm-started from the signs of `warm`; the support may hold more
-    columns than Phi has rows (see `_l1_active_set`).  `factor`, if
-    given, is (columns, G_AA^{-1}) for exactly the nonzeros of `warm`, in
-    the columns' order, and the pivoting starts from it instead of
-    forming that inverse from scratch; `support` must then be sorted.  The
-    answer is accepted on its optimality conditions computed from G and
-    b, so it is the minimizer to rounding however the updates of G_AA^{-1}
-    drifted.  When the unconstrained least-squares fit lies inside the
-    ball the method ends at it, off the l1 sphere; when it lies outside,
-    even by rounding, it ends on the sphere.  Returns a full-length
+    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and
+    `_l1_active_set` finds the minimizer from the signs of `warm`; the
+    support may hold more columns than Phi has rows.  A factorization is
+    (columns, G_AA^{-1}) for the ordered active columns A.  `factor`, if
+    given, is the one of exactly the nonzeros of `warm`, and `support`
+    must then be sorted.  When the unconstrained fit lies inside the ball
+    the answer is that fit, off the l1 sphere; when it lies outside, even
+    by rounding, the answer is on the sphere.  Returns a full-length
     vector, zero off the support, whose l1 norm summed over the full
-    length is at most tau, and the final (columns, G_AA^{-1}) of the
-    pivoting, in the same form as `factor`.
+    length is at most tau, and the factorization the pivoting ended on.
     """
     m, n = phi.shape
     out = np.zeros(n)
@@ -213,8 +210,7 @@ def _l1_restricted_lsq(
     return clip_into_l1_ball(out, tau), (support[act], hinv)
 
 
-# Columns per block when G_AA^{-1} is formed from scratch, chosen by a
-# timing that CHANGES.md records: faster than one block at N = 1000.
+# Columns per block when `_border` forms G_AA^{-1} from scratch
 _BLOCK = 64
 
 
@@ -297,9 +293,8 @@ def _trade(
     )
 
 
-# Block exchanges in a row that do not lower the count of violated
-# optimality conditions before `_l1_active_set` turns to its backup and
-# exchanges one index at a time for the rest of the solve
+# Block exchanges in a row that do not lower the count of violators
+# before `_l1_active_set` turns to its backup for the rest of the solve
 _BACKUP = 3
 
 
@@ -314,38 +309,34 @@ def _l1_active_set(
     """Exact minimizer of 1/2 x^T G x - b^T x over ||x||_1 <= tau, with
     the final ordered active positions A and the G_AA^{-1} it ended on.
 
-    Block principal pivoting on the sign pattern (Kim & Park 2011): the
-    state is an active set A with signs s, each step solves the face
-    {supp(x) in A, s^T x_A <= tau}, x_A = u - lam v with u = G_AA^{-1} b_A,
-    v = G_AA^{-1} s, lam = max((s^T u - tau) / (s^T v), 0), and every
-    violator is exchanged: i in A with s_i x_i < 0 leaves, and j off A
-    with |g_j| > lam, g = b - G x, enters with the sign of g_j.  After
-    `_BACKUP` steps that do not lower the count of violators, or at an
-    entry that would make G_AA singular, the backup exchanges one index at
-    a time from x = 0: x moves toward the face minimizer until a
-    coordinate reaches zero and leaves, and at the minimizer the largest
-    violator enters, so the objective falls.  An index entering on a true
-    violation moves off zero with its sign; one that the next step moves
-    against it entered on rounding noise and is barred.  A column j in the
+    Block principal pivoting on the sign pattern (Kim & Park 2011): with
+    active set A and signs s, each step solves the face {supp(x) in A,
+    s^T x_A <= tau}: x_A = u - lam v, u = G_AA^{-1} b_A, v = G_AA^{-1} s,
+    lam = max((s^T u - tau) / (s^T v), 0).  Every violator is exchanged:
+    i in A with s_i x_i < 0 leaves, and j off A with |g_j| > lam,
+    g = b - G x, enters with the sign of g_j.  After `_BACKUP` steps that
+    do not lower the count of violators, or at an entry that would make
+    G_AA singular, the backup exchanges one index at a time from x = 0:
+    x moves toward the face minimizer until a coordinate reaches zero and
+    leaves, and at the minimizer the largest violator enters, so the
+    objective falls.  An entered index that the next step moves against
+    its sign entered on rounding noise and is barred.  A column j in the
     span of A's, c = G_AA^{-1} G_Aj, has g_j = lam s^T c at a face
     minimizer: if |s^T c| > 1 `_trade` brings it in, else it is barred.
     Bars and trades use G_AA^{-1} formed from scratch (`_from_scratch`),
-    not its updates by `_border` and `_remove`, which can drift.  When
-    no index enters or leaves, x is returned if the inverse is fresh or
-    the face equations hold, |g_A - lam s_A| within the entry test's
-    rounding tolerance (without its 1e-10 lam margin); with g computed
-    from G, not from G_AA^{-1}, those are the optimality conditions
-    themselves, to rounding.  Only a failed check forms the inverse from
-    scratch and steps again.
+    not its updates by `_border` and `_remove`, which can drift.  When no
+    index enters or leaves, x is returned if the inverse is fresh or the
+    face equations |g_A - lam s_A| hold within the entry test's rounding
+    tolerance (without its 1e-10 lam margin): with g computed from G,
+    those are the optimality conditions, to rounding.  A failed check
+    forms the inverse from scratch and steps again.
 
-    Starts from the signs of `start`: on `factor` = (positions, G_AA^{-1})
-    of exactly its nonzeros, in that order, if given, which is then not
-    fresh, so the face check guards the answer; else on G_AA^{-1} formed
-    from scratch, or from A empty if that Gram block is singular, as it
-    is with more nonzeros than `rows`.  The inverse returned can be handed
-    back as `factor` to a solve on another support holding A's columns.
-    Raises RuntimeError after 20|S| + 50 steps, or if G_AA^{-1} formed
-    from scratch is singular or indefinite.
+    Starts from the signs of `start`, on `factor` = (positions,
+    G_AA^{-1}) of exactly its nonzeros if given, which the face check
+    then guards; else on G_AA^{-1} formed from scratch, or from A empty if
+    that block is singular, as with more nonzeros than `rows`.  Raises
+    RuntimeError after 20|S| + 50 steps, or if G_AA^{-1} formed from
+    scratch is singular or indefinite.
     """
     size, g_max = b.size, gram.diagonal().max()
     # rounding bound of g_j = b_j - G_j x, |S| terms with ||x||_1 <= tau;
@@ -455,17 +446,12 @@ def sp_solve(
     phi: np.ndarray, f: np.ndarray, cfg: PursuitConfig
 ) -> tuple[SolverResult, IterateTrace]:
     """Subspace pursuit (Dai & Milenkovic 2009): `clash_solve` at
-    tau = inf, whatever `cfg.tau` is.
+    tau = inf, whatever `cfg.tau` is, so one run of `_clash_loop` from
+    alpha = 0 with restricted least squares as its inner solve.
 
-    One run of the loop from alpha = 0: union the support with the top-k
-    residual correlations, least squares on the union, prune to k,
-    refit.  The first iteration is the least-squares fit on the top-k
+    The first iteration is the least-squares fit on the top-k
     correlations of Phi^T f, and it counts in `iterations` and is entry 0
-    of the history and the trace.  Stops when the residual norm stops
-    decreasing, when the relative iterate change is at most 1e-6, or
-    after 100 iterations.  The trace holds the support, the step length
-    and a copy of every iterate of the run.  The solve runs at a
-    power-of-two scale of f (`_pursue`).
+    of the history and the trace.
     """
     return _pursue(phi, f, cfg.sparsity, np.inf)
 
@@ -479,81 +465,62 @@ def _clash_loop(
     momentum: bool = False,
     memo: dict | None = None,
     factor: tuple[np.ndarray, np.ndarray] | None = None,
-    factors: dict | None = None,
     target: np.ndarray | None = None,
 ) -> tuple[SolverResult, IterateTrace, tuple[np.ndarray, np.ndarray] | None]:
-    """The four-step iteration at a fixed budget (k, tau), from alpha0.
+    """The four steps of `clash_solve` at a fixed budget (k, tau), from
+    alpha0.  Returns the result, the trace and the factorization of the
+    last iterate.
 
-    Returns the result, the trace of the run and the factorization of its
-    last iterate.  The result holds the last iterate with its residual
-    norm ||f - Phi alpha||_2, the residual norm of every iterate as
-    history, the iteration count and the termination reason; the trace
-    holds every iterate with its support and its distance from the one
-    before.
+    The result holds the last iterate, its residual norm, the residual
+    norm of every iterate as history, the iteration count and the
+    termination; the trace holds every iterate with its support and its
+    distance from the one before.  The expansion ranks
+    g = Phi^T (f - Phi alpha) off the support, or with `momentum` the same
+    at an extrapolation of the last two iterates.  The de-bias is skipped
+    when pruning keeps every nonzero of the step-2 answer, which then
+    also minimizes over the pruned support.
 
-    With `momentum` the expansion gradient is taken at an extrapolation of
-    the last two iterates instead of the current one; the descent,
-    selection, and de-bias steps are unchanged, so iterate feasibility and
-    the <= 2k extended-support bound still hold.  The expansion ranks the
-    residual correlations g = Phi^T (f - Phi alpha), the negative
-    gradient, off the support.
+    Stops: "converged" once the relative iterate change is at most 1e-6;
+    "max-iterations" after 100 iterations; "repeat" once an iterate
+    equals `target` entry for entry; at tau = inf, "residual stopped
+    decreasing" when an iterate's residual norm exceeds the one before,
+    which is dropped, as in subspace pursuit; and at a finite tau without
+    momentum, "certified", not counting the iteration it skips, once an
+    iterate after the first iteration has a duality gap over the whole
+    tau-ball within its rounding (`_duality_gap`), taken on the g of the
+    next expansion: alpha then minimizes over every extended support, and
+    the next iteration would return it.
 
-    At a finite tau and without momentum, every iterate after the first
-    iteration is tested on that g before the next: once its duality gap
-    over the whole tau-ball is within the gap's rounding
-    (`_duality_gap`), alpha minimizes over the ball, so over every
-    extended support, and the next iteration would return it again.  The
-    loop then ends with "certified", counting the iterations run.
-
-    With a `target`, the loop ends with "repeat" once an iterate equals it
-    entry for entry, counting that iteration: `_pursue` passes the best
-    run's alpha when its budget binds, and stops the portfolio on it.
-
-    With tau = inf the inner solves are plain restricted least squares and
-    the loop is subspace pursuit, stop rule included: an iterate whose
-    residual norm exceeds the previous one's is dropped and the loop ends
-    with "residual stopped decreasing".  Phi alpha is formed once per
-    iterate, for the stop rule, the history and the next expansion.
-
-    The de-bias is skipped when pruning keeps every nonzero of the step-2
-    minimizer v: v minimizes over the extended support, so also over the
-    pruned one, and it is the new iterate.  Inner answers are kept in
-    `memo`, keyed by (tau, support), as read-only arrays of their values
-    on the support; a support solved before at the same budget, in this
-    loop or in another sharing `memo`, is not solved again.  The
-    minimizer is unique while G_SS is nonsingular, so the warm start of a
-    repeat would change its rounding only.
-
-    The factorization of an iterate is the (columns, G_AA^{-1}) that its
-    inner solve ended on (`_l1_restricted_lsq`); `factors` keeps it under
-    the memo's key for answers with at most k nonzeros, the ones that can
-    become iterates, so a memo hit has it too.  Step 2 starts from the
-    iterate's factorization when its columns are exactly the iterate's
-    nonzeros: `factor` for alpha0, then each iterate's own.  The de-bias
-    forms its warm start from scratch.  At tau = inf there is none.
+    `memo` caches inner answers across every loop that shares it: under
+    (tau, support) it holds the read-only values of the answer on the
+    support and its factorization, the (columns, G_AA^{-1}) its solve
+    ended on (`_l1_restricted_lsq`), or None at tau = inf and for an
+    answer of more than k nonzeros, which cannot become an iterate.  A
+    support met before at the same budget is not solved again: the
+    minimizer is unique while G_SS is nonsingular, so another warm start
+    would change its rounding only.  Step 2 starts from the iterate's
+    factorization when its columns are exactly the iterate's nonzeros:
+    `factor` for alpha0, then each iterate's own.  The de-bias forms its
+    inverse from scratch.
     """
     norm_active = np.isfinite(tau)
     memo = {} if memo is None else memo
-    factors = {} if factors is None else factors
 
     def inner(support: np.ndarray, warm: np.ndarray, warm_factor=None):
         key = (tau, support.tobytes())
-        values = memo.get(key)
-        if values is None:
+        if key not in memo:
             if norm_active:
-                solved, formed = _l1_restricted_lsq(
-                    phi, f, support, tau, warm, warm_factor
-                )
-                if np.count_nonzero(solved) <= k:
-                    factors[key] = formed
+                solved, formed = _l1_restricted_lsq(phi, f, support, tau, warm, warm_factor)
+                formed = formed if np.count_nonzero(solved) <= k else None
             else:
-                solved = _restricted_lsq(phi, f, support)
+                solved, formed = _restricted_lsq(phi, f, support), None
             values = solved[support]
             values.flags.writeable = False
-            memo[key] = values
+            memo[key] = values, formed
+        values, formed = memo[key]
         out = np.zeros(phi.shape[1])
         out[support] = values
-        return out, factors.get(key)
+        return out, formed
 
     certify = norm_active and not momentum
     alpha = alpha0
@@ -627,46 +594,18 @@ def clash_solve(
     (2) greedy descent with shrinkage - l1-constrained least squares over
     the <= 2k extended support; (3) combinatorial selection - prune to the
     k largest entries; (4) de-bias - l1-constrained least squares on the
-    pruned support, keeping the norm budget active so every emitted
-    iterate satisfies both constraints, its l1 norm summed over the full
-    length at most tau.  Steps 2 and 4 are solved exactly
-    (`_l1_restricted_lsq`) by block principal pivoting on the sign
-    pattern, warm-started from the current iterate (step 2) or the pruned
-    vector (step 4); it raises RuntimeError if it fails to reach the
-    optimum.  Step 2 starts from the G_AA^{-1} on the iterate's nonzeros
-    that the iterate's own solve ended on, and the face check guards its
-    answer; step 4 forms its warm start's inverse from scratch.  Step 4 is
-    skipped when pruning keeps every nonzero of the step-2 answer, which
-    is then already the de-biased iterate, and each distinct (budget,
-    support) problem is solved once per call, however many loops of the
-    portfolio meet it.  An inner answer is accepted once its optimality
-    conditions, computed from G_SS, hold to rounding.  The loop stops once
-    the relative iterate change is at most 1e-6, after 100 iterations,
-    or, without momentum, once the duality gap over the l1 ball
-    (`_duality_gap`) certifies an iterate after the first iteration: the
-    next iteration would return it again.
-    With tau = inf steps 2 and 4 are plain restricted least squares, the
-    loop stops as subspace pursuit does, and the result is `sp_solve`'s.
+    pruned support, so every iterate has at most k nonzeros and an l1
+    norm, summed over the full length, of at most tau.  Steps 2 and 4 are
+    solved exactly (`_l1_restricted_lsq`), warm-started from the current
+    iterate and from the pruned vector; RuntimeError if one fails to
+    reach the optimum.  `_clash_loop` runs the iteration and states its
+    stops and its cache of inner answers.
 
-    The iteration map can stall on fixed points short of the best
-    solution near its recovery phase transition, so with a finite tau the
-    solver runs a deterministic portfolio of five warm starts
-    (`CONTINUATION_PORTFOLIO`), in this order: a plain run from zero, one
-    with momentum in the expansion, and three through schedules of reduced
-    norm budgets (fractions of tau) before the full-budget loop.  Every
-    stage iterate is feasible for the final constraint set (stage budgets
-    never exceed tau).  The portfolio stops after a member once the best
-    run fits f to 1e-6 relative, once three members in a row lower the
-    best residual by less than 0.5 %, once the best run is certified
-    optimal over the whole l1 ball, or once the member ends on the best
-    run's alpha with the budget binding (`_pursue`); that last stop also
-    fires inside a later member's full-budget loop, which ends on the
-    first iterate equal to that alpha.  The smallest final residual wins, ties
-    keeping the earliest run; the reported history, trace and iteration
-    count are the winning full-budget run's, and the trace holds every
-    iterate of that run.  The solve runs at a power-of-two scale of f and
-    tau (`_pursue`), so an extreme f fails neither by overflow nor
-    underflow.
+    With a finite tau the loop runs from a portfolio of warm starts and
+    the smallest final residual wins; `_pursue` states the order and the
+    stops.  The history, trace and iteration count are those of the
+    winning member's full-budget loop.  With tau = inf the result is
+    `sp_solve`'s.
     """
     return _pursue(phi, f, cfg.sparsity, cfg.tau)
 
@@ -699,46 +638,43 @@ def _duality_gap(
 def _pursue(
     phi: np.ndarray, f: np.ndarray, k: int, tau: float
 ) -> tuple[SolverResult, IterateTrace]:
-    """The body of `clash_solve` and `sp_solve`: the portfolio when tau is
-    finite, one cold start from alpha = 0 when it is not.
+    """The body of `clash_solve` and `sp_solve`: one cold start from
+    alpha = 0 when tau is infinite, else the portfolio of warm starts.
 
-    The portfolio runs `CONTINUATION_PORTFOLIO` in order: the plain run,
-    the momentum run, then the three staged members.  It stops after a
-    member once
+    The loop can stall on fixed points short of the best solution near
+    its recovery phase transition, so each member of
+    `CONTINUATION_PORTFOLIO` runs in turn from alpha = 0: a `_clash_loop`
+    at each stage budget, then one at tau.  The stage budgets are
+    fractions of tau ascending inside (0, 1): early stages shrink harder,
+    where supports are easier to find, and each stage's answer lies in
+    the next stage's ball, so the projection before each loop returns its
+    input.  Each stage loop hands its last factorization to the next, and
+    all loops share one inner-answer cache.  The smallest final residual
+    wins, ties keeping the earliest member.  The two one-loop members
+    come first, so that stop (4) can end the portfolio after one loop
+    rather than a staged member's several; CHANGES.md records the census
+    that chose the members and their order.
+
+    The portfolio stops after a member once
     (1) the best run so far fits f to 1e-6 relative;
     (2) three members in a row lower the best residual by less than 0.5 %;
     (3) the best run's alpha is certified optimal: its duality gap
         (`_duality_gap`) over the whole l1 ball, which holds the (k, tau)
-        feasible set and alpha in it, is within the gap's rounding, so no
-        later member can end below that residual but by rounding; or
+        feasible set, is within the gap's rounding, so no later member
+        can end lower but by rounding; or
     (4) the member ends on the best run's alpha, entry for entry, and that
         alpha's l1 norm is within nnz eps tau of tau: a second warm start
-        has reached the same point with the budget binding.  Equal
-        supports give equal answers through the shared memo.  The test
-        runs inside each later member's full-budget loop: that alpha is
-        its `target` (`_clash_loop`), and the loop ends "repeat" on the
-        first iterate equal to it, instead of running on to its own stop.
-    The gap costs one product with Phi and one with Phi^T, taken when the
-    best run changes, unless that run's full-budget loop ended
-    "certified": it has passed the same test on the same alpha and g.
-    Stops (2) and (4) are heuristics: a later member may end lower.
-
-    Each stage loop of a member hands the factorization of its last
-    iterate (`_clash_loop`) to the next, whose first step-2 solve starts
-    from it; `memo` and `factors` are shared by every loop of the call.
-
-    The solve runs on 2^-e f with the budget 2^-e tau, e the binary
-    exponent of max |f|, and alpha, the residual norms, the history and
-    the trace's iterates and deltas are scaled back by 2^e.  Every step is
-    exact under that scaling, so the answer is the one on f itself, but an
-    f near the ends of the float64 range neither overflows nor underflows
-    its residual norms."""
+        has reached the same point with the budget binding.  Each later
+        member's full-budget loop gets that alpha as its `target` and
+        ends "repeat" on reaching it.
+    The gap of (3) is taken when the best run changes, unless its
+    full-budget loop ended "certified", the same test on the same alpha.
+    Stops (2) and (4) are heuristics: a later member may end lower.  The
+    solve runs at a power-of-two scale of f and tau (`_unit_scale`).
+    """
     phi, f = _as_system(phi, f)
     _check_sparsity(k, phi)
-    scale = np.frexp(np.max(np.abs(f)))[1]
-    # a budget that overflows at f's scale cannot bind: the run is SP's
-    with np.errstate(over="ignore"):
-        f, tau = np.ldexp(f, -scale), float(np.ldexp(tau, -scale))
+    e, f, tau = _unit_scale(f, tau)
     n = phi.shape[1]
     finite = np.isfinite(tau)
     portfolio = CONTINUATION_PORTFOLIO if finite else (((), False),)
@@ -746,14 +682,13 @@ def _pursue(
     best: tuple[SolverResult, IterateTrace] | None = None
     stalls, certified, target = 0, False, None
     memo: dict = {}
-    factors: dict = {}
     for schedule, momentum in portfolio:
         alpha, factor = np.zeros(n), None
         budgets = [fraction * tau for fraction in schedule] + [tau]
         for stage, budget in enumerate(budgets, 1):
             result, trace, factor = _clash_loop(
                 phi, f, k, budget, l1_project(alpha, budget), momentum, memo,
-                factor, factors, target if stage == len(budgets) else None,
+                factor, target if stage == len(budgets) else None,
             )
             alpha = result.alpha
         res_norm = result.residual_l2
@@ -776,15 +711,7 @@ def _pursue(
         repeat = result.termination == "repeat"
         if best[0].residual_l2 <= exact_fit or stalls >= 3 or certified or repeat:
             break
-    result, trace = best
-    res_norm = float(np.ldexp(result.residual_l2, scale))
-    history = np.ldexp(result.history, scale).tolist()
-    deltas = np.ldexp(trace.iterate_deltas, scale).tolist()
-    return (
-        SolverResult(np.ldexp(result.alpha, scale), res_norm, res_norm, history,
-                     result.iterations, result.termination),
-        IterateTrace(trace.supports, deltas, [np.ldexp(it, scale) for it in trace.iterates]),
-    )
+    return _scale_back(e, *best)
 
 
 def lasso_pg_solve(
@@ -803,14 +730,13 @@ def lasso_pg_solve(
     0.9 each iteration and doubles until ||Phi (z - y)||^2 <= c ||z - y||^2,
     the quadratic upper bound of the objective at y (Beck & Teboulle
     2009's backtracking).  It never exceeds L, the largest eigenvalue of
-    Phi^T Phi estimated by power iteration (20 iterations, relative
-    tolerance 1e-6), and at L the step is taken unconditionally.  z
-    replaces x only if it does not raise the objective.  The momentum
-    restarts (y = x) when z is rejected, or when (y - z)^T (x - x_prev) > 0,
-    the gradient restart of O'Donoghue & Candes (2015).  The residuals at
-    x and x_prev are carried, and the one at y is their combination, so
-    an iteration costs two products with Phi, plus one per failed test of
-    the bound (about 2.15 in all on `noise-resilience` instances).
+    Phi^T Phi (`_power_iter_cols`), and at L the step is taken
+    unconditionally.  z replaces x only if it does not raise the
+    objective.  The momentum restarts (y = x) when z is rejected, or when
+    (y - z)^T (x - x_prev) > 0, the gradient restart of O'Donoghue &
+    Candes (2015).  The residuals at x and x_prev are carried, and the one
+    at y is their combination, so an iteration costs two products with
+    Phi, plus one per failed test of the bound.
 
     Termination: "converged" once ||z - y|| L <= `tol`, which bounds the
     gradient-mapping norm at step 1/L by `tol`, the step at c <= L being
@@ -818,16 +744,11 @@ def lasso_pg_solve(
     first step, or the first after a restart) does not lower the objective
     in floating point; "max-iterations" after `max_iter` iterations; and
     "degenerate", with no iteration, when tau = 0 or Phi = 0.  `tol` is
-    absolute, the one stop test in this module that is: scaling Phi by c
-    does not scale the answer by 1/c.  The history holds the squared
-    objective at x after each iteration, so it is non-increasing.  Raises
-    ValueError for tau < 0, a NaN or negative `tol`, or `max_iter` below 1.
-
-    The solve runs on 2^-e f, e the binary exponent of max |f|, with tau
-    and `tol` scaled alike, and scales x and the residual norm back by 2^e,
-    the history by 2^2e, so an f near the ends of the float64 range
-    neither underflows nor overflows the objective the steps compare; the
-    history reads inf where the squared objective exceeds float64.
+    absolute, so scaling Phi by c does not scale the answer by 1/c.  The
+    history holds the squared objective at x after each iteration, so it
+    is non-increasing.  Raises ValueError for tau < 0, a NaN or negative
+    `tol`, or `max_iter` below 1.  The solve runs at a power-of-two scale
+    of f, tau and `tol` (`_unit_scale`).
     """
     phi, f = _as_system(phi, f)
     if not tau >= 0:
@@ -837,19 +758,16 @@ def lasso_pg_solve(
     check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    scale = np.frexp(np.max(np.abs(f)))[1]
-    # a budget or tolerance that overflows at f's scale acts as inf
-    with np.errstate(over="ignore"):
-        f = np.ldexp(f, -scale)
-        tau, tol = float(np.ldexp(tau, -scale)), float(np.ldexp(tol, -scale))
+    e, f, tau, tol = _unit_scale(f, tau, tol)
     n = phi.shape[1]
     x = np.zeros(n)
     lam = _power_iter_cols(phi)
     if lam == 0.0 or tau == 0.0:
         alpha = l1_project(x, tau)
         r = phi @ alpha - f
-        nrm = float(np.ldexp(np.sqrt(r @ r), scale))
-        return SolverResult(alpha, nrm, nrm, [nrm * nrm], 0, "degenerate")
+        nrm = float(np.sqrt(r @ r))
+        result = SolverResult(alpha, nrm, nrm, [nrm * nrm], 0, "degenerate")
+        return _scale_back(e, result, power=2)
     curve = lam
     rx = phi @ x - f
     fx = float(rx @ rx)
@@ -890,11 +808,9 @@ def lasso_pg_solve(
             termination = "stalled"
             break
         t = 1.0 if restart else t_next
-    nrm = float(np.ldexp(np.sqrt(fx), scale))
-    # the squared objective of an f near the top of the range exceeds float64
-    with np.errstate(over="ignore"):
-        history = np.ldexp(history, 2 * scale).tolist()
-    return SolverResult(np.ldexp(x, scale), nrm, nrm, history, iterations, termination)
+    nrm = float(np.sqrt(fx))
+    result = SolverResult(x, nrm, nrm, history, iterations, termination)
+    return _scale_back(e, result, power=2)
 
 
 def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
@@ -909,7 +825,8 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     the move d; then the residual norm cannot rise.  Stops with
     "converged" once the relative iterate change is at most 1e-6 or
     Phi g_S = 0, else after 500 iterations with "max-iterations".  The
-    history holds the residual 2-norm after each iteration.
+    history holds the residual 2-norm after each iteration.  The solve
+    runs at a power-of-two scale of f (`_unit_scale`).
 
     The residual is carried, f - Phi a - Phi d, with Phi d = mu Phi g_S
     when S does not change.  The columns Phi_S are kept, gathered again
@@ -917,17 +834,10 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     from them and from the columns entering S, so an iteration makes one
     product with all of Phi, for g.  The returned residual norm is
     recomputed from the returned a.
-
-    The solve runs on 2^-e f, e the binary exponent of max |f|, and a,
-    the residual norm and the history are scaled back by 2^e.  Every step
-    is exact under that scaling, so the answer is the one on f itself,
-    but an f near the ends of the float64 range neither underflows to a
-    zero step nor overflows one.
     """
     phi, f = _as_system(phi, f)
     _check_sparsity(k, phi)
-    scale = np.frexp(np.max(np.abs(f)))[1]
-    f = np.ldexp(f, -scale)
+    e, f = _unit_scale(f)
     x = np.zeros(phi.shape[1])
     r = f
     g = phi.T @ f
@@ -973,11 +883,9 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
             break
         g = phi.T @ r
     r = f - phi @ x
-    norms = np.ldexp(history[:-1] + [float(np.sqrt(r @ r))], scale).tolist()
-    history = norms if history else []
-    return SolverResult(
-        np.ldexp(x, scale), norms[-1], norms[-1], history, len(history), termination
-    )
+    nrm = float(np.sqrt(r @ r))
+    history = history[:-1] + [nrm] if history else []
+    return _scale_back(e, SolverResult(x, nrm, nrm, history, len(history), termination))
 
 
 def contraction_check(

@@ -135,6 +135,22 @@ class TestRestrictedLsq:
         with pytest.raises(ValueError):
             restricted_lsq(a, f, [1, 4])
 
+    @pytest.mark.parametrize("support", [[0.7, 2.9], [1.0, 2.5], [np.nan], [1.0, np.inf]])
+    def test_non_integer_support_raises_value_error(self, support):
+        # [0.7, 2.9] was truncated to [0, 2] and solved there
+        a, f = np.eye(4), np.arange(1.0, 5.0)
+        with pytest.raises(ValueError, match="integers"):
+            restricted_lsq(a, f, support)
+
+    @pytest.mark.parametrize("support", [[], np.array([], dtype=float), [0.0, 2.0],
+                                         np.array([0, 2], dtype=np.int32)])
+    def test_integer_valued_support_passes(self, support):
+        a, f = np.eye(4), np.arange(1.0, 5.0)
+        out = restricted_lsq(a, f, support)
+        expected = np.zeros(4)
+        expected[np.asarray(support, dtype=np.int64)] = f[np.asarray(support, dtype=np.int64)]
+        assert np.array_equal(out, expected)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),

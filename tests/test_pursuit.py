@@ -373,13 +373,13 @@ class TestCertificateStop:
         certificate.  Returns the result, the trace and the full-budget
         runs."""
         exact_fit = 1e-6 * float(np.sqrt(f @ f))
-        best, stalls, runs, memo, factors = None, 0, [], {}, {}
+        best, stalls, runs, memo = None, 0, [], {}
         for schedule, momentum in pursuit.CONTINUATION_PORTFOLIO:
             alpha, factor = np.zeros(phi.shape[1]), None
             for budget in [fraction * tau for fraction in schedule] + [tau]:
                 result, trace, factor = _clash_loop(
                     phi, f, k, budget, l1_project(alpha, budget), momentum, memo,
-                    factor, factors,
+                    factor,
                 )
                 alpha = result.alpha
             runs.append(result)
@@ -797,7 +797,7 @@ class TestInnerSolveReuse:
         memo = {}
         _clash_loop(p.phi, p.f, 20, tau, np.zeros(200), memo=memo)
         assert memo
-        for values in memo.values():
+        for values, _ in memo.values():
             with pytest.raises(ValueError):
                 values[0] = 1.0
 
@@ -908,6 +908,44 @@ class TestFactorHandOff:
                 assert args[7] is runs[i - 1][1][2]
         assert firsts == len(pursuit.CONTINUATION_PORTFOLIO)
         assert len(runs) > firsts
+
+    def test_indefinite_factor_is_formed_again_from_scratch(self, monkeypatch):
+        # a handed inverse that is negative definite gives s^T G_AA^{-1} s < 0
+        # on the first step; the solve forms G_AA^{-1} from scratch and then
+        # runs as the cold start does, bit for bit
+        phi, f, _ = gaussian_case(5, m=30, n=12)
+        gram, b = phi.T @ phi, phi.T @ f
+        start = np.zeros(12)
+        start[[1, 4, 6]] = [0.3, -0.2, 0.1]
+        act = np.nonzero(start)[0]
+        tau = 0.5 * np.sum(np.abs(np.linalg.solve(gram, b)))
+        cold = pursuit._l1_active_set(gram, b, tau, start, 30)
+        refreshed = []
+        from_scratch = pursuit._from_scratch
+        monkeypatch.setattr(pursuit, "_from_scratch",
+                            lambda g, a: refreshed.append(a) or from_scratch(g, a))
+        factor = (act, -np.linalg.inv(gram[np.ix_(act, act)]))
+        warm = pursuit._l1_active_set(gram, b, tau, start, 30, factor)
+        assert np.array_equal(refreshed[0], act)
+        for a, c in zip(warm, cold):
+            assert a.tobytes() == c.tobytes()
+
+    def test_factor_off_the_iterates_nonzeros_is_dropped(self, monkeypatch):
+        # a factor whose columns are not alpha0's nonzeros never reaches
+        # step 2, and the loop runs as it does with no factor
+        p, tau, alpha, (cols, hinv), _ = self.step_two_case(0)
+        handed = []
+        l1_lsq = pursuit._l1_restricted_lsq
+        monkeypatch.setattr(pursuit, "_l1_restricted_lsq",
+                            lambda *a: handed.append(a[5]) or l1_lsq(*a))
+        ref, ref_trace, ref_factor = _clash_loop(p.phi, p.f, 20, tau, alpha)
+        handed.clear()
+        res, trace, factor = _clash_loop(p.phi, p.f, 20, tau, alpha,
+                                         factor=(cols[1:], hinv[1:, 1:]))
+        assert handed[0] is None
+        assert differing_fields(res, ref) == []
+        assert differing_fields(trace, ref_trace) == []
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(factor, ref_factor))
 
 
 class TestFaceCheck:
@@ -1306,7 +1344,7 @@ class TestLassoPG:
     def test_power_iteration_unchanged_when_uniform_start_works(self):
         phi, _, _ = gaussian_case(11, m=30, n=70)
         v = np.full(70, 1.0 / np.sqrt(70))
-        assert pursuit._power_iter_cols(phi) == pursuit._power_iter(phi, v, 20, 1e-6)
+        assert pursuit._power_iter_cols(phi) == pursuit._power_iter(phi, v)
 
     @pytest.mark.parametrize(
         "settings",
