@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .bregman import (
     BregmanGeometry,
-    DualBall,
     bregman_distance,
     bregman_project,
     euclidean_geometry,
@@ -48,7 +47,6 @@ from .synth import GeneratedProblem, ProblemSpec, generate, rip_probe
 __all__ = [
     "__version__",
     "BregmanGeometry",
-    "DualBall",
     "bregman_distance",
     "bregman_project",
     "euclidean_geometry",

@@ -32,6 +32,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from copy import deepcopy
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -56,7 +57,37 @@ from .synth import (
     write_fields,
 )
 
-EXPERIMENTS = ("dantzig-noise", "noise-resilience", "tau-sweep", "custom")
+# each preset's desk-scale overrides of the `ExperimentPlan` defaults,
+# which "custom" keeps
+_PRESETS = {
+    "dantzig-noise": dict(
+        n=1000,
+        m=200,
+        k=20,
+        sigma_grid=[float(s) for s in np.logspace(-3.5, -0.5, 7)],
+        trials=50,
+        solvers=["game-linf", "lasso-pg", "sp"],
+    ),
+    "noise-resilience": dict(
+        n=1000,
+        m=305,
+        k=115,
+        sigma_grid=[float(s) for s in np.logspace(-5, -1, 5)],
+        trials=50,
+        solvers=["clash", "lasso-pg", "sp"],
+    ),
+    "tau-sweep": dict(
+        n=500,
+        m=160,
+        k=57,
+        sigma_grid=[0.05],
+        tau_grid=[0.2, 0.5, 1.0, 2.0, 5.0],
+        trials=50,
+        solvers=["clash", "sp"],
+        noise_mode="fixed-norm",
+    ),
+}
+EXPERIMENTS = (*_PRESETS, "custom")
 
 # Each solver as (phi, f, k, tau, rounds) -> SolverResult.  The entry
 # points are looked up in this module's namespace at call time, so a
@@ -190,46 +221,10 @@ class ExperimentPlan:
 
 
 def preset_plan(experiment: str, **overrides) -> ExperimentPlan:
-    """The desk-scale defaults for a named experiment, with overrides."""
-    if experiment == "dantzig-noise":
-        base = ExperimentPlan(
-            experiment=experiment,
-            n=1000,
-            m=200,
-            k=20,
-            sigma_grid=[float(s) for s in np.logspace(-3.5, -0.5, 7)],
-            tau_grid=[1.0],
-            trials=50,
-            solvers=["game-linf", "lasso-pg", "sp"],
-        )
-    elif experiment == "noise-resilience":
-        base = ExperimentPlan(
-            experiment=experiment,
-            n=1000,
-            m=305,
-            k=115,
-            sigma_grid=[float(s) for s in np.logspace(-5, -1, 5)],
-            tau_grid=[1.0],
-            trials=50,
-            solvers=["clash", "lasso-pg", "sp"],
-        )
-    elif experiment == "tau-sweep":
-        base = ExperimentPlan(
-            experiment=experiment,
-            n=500,
-            m=160,
-            k=57,
-            sigma_grid=[0.05],
-            tau_grid=[0.2, 0.5, 1.0, 2.0, 5.0],
-            trials=50,
-            solvers=["clash", "sp"],
-            noise_mode="fixed-norm",
-        )
-    elif experiment == "custom":
-        base = ExperimentPlan()
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    return replace(base, **overrides) if overrides else base
+    """The desk-scale defaults for a named experiment (`_PRESETS`), with
+    overrides.  ValueError for an unknown name (`ExperimentPlan`)."""
+    preset = deepcopy(_PRESETS.get(experiment, {}))
+    return ExperimentPlan(**{"experiment": experiment, **preset, **overrides})
 
 
 def run_solver(
@@ -358,9 +353,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     Returns a dict with the output paths and the summary rows.
 
-    With ``plan.workers > 1`` the trials run in spawned processes, which
-    import the caller's main module again; a script that calls this at
-    top level must do so under ``if __name__ == "__main__":``.
+    With ``plan.workers > 1`` the trials run in spawned processes; see
+    `_map_in_workers` for the guard this asks of a calling script.
     """
     run_trial = partial(_run_trial, plan)
     trials = list(range(plan.trials))

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import (
-    ENTROPY,
-    BregmanGeometry,
-    DualBall,
-    simplex_to_dual,
-    uniform_simplex_weights,
-)
+from .bregman import simplex_to_dual, uniform_simplex_weights
 from .numerics import as_system, check_integer, lp_norm
 from .projections import clip_into_l1_ball
 from .results import SolverResult
@@ -52,8 +46,7 @@ class GameConfig:
         check_integer("rounds", self.rounds)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if not (self.q == 2 or np.isinf(self.q)):
-            raise ValueError(f"q must be 2 or inf, got {self.q}")
+        _infinite_q(self.q)  # raises unless q is 2 or inf
         if not 0 < self.tau < np.inf:
             raise ValueError("tau must be positive and finite")
 
@@ -90,16 +83,14 @@ def holder_optimal_dual(
     residual returns the zero dual point (any P is optimal, loss 0).
     """
     r = np.asarray(phi, dtype=np.float64) @ alpha - f
-    if q == 2:
+    if not _infinite_q(q):
         nrm = float(np.sqrt(r @ r))
         return np.zeros_like(r) if nrm == 0.0 else r / nrm
-    if np.isinf(q):
-        out = np.zeros_like(r)
-        i = int(np.argmax(np.abs(r)))
-        if r[i] != 0.0:
-            out[i] = np.sign(r[i])
-        return out
-    raise ValueError(f"q must be 2 or inf, got {q}")
+    out = np.zeros_like(r)
+    i = int(np.argmax(np.abs(r)))
+    if r[i] != 0.0:
+        out[i] = np.sign(r[i])
+    return out
 
 
 def sparse_best_response(
@@ -128,37 +119,35 @@ def _best_index(r: np.ndarray) -> tuple[int, float]:
     return i, float(np.sign(r[i]))
 
 
-def max_update(
-    p: np.ndarray,
-    residual: np.ndarray,
-    eta: float,
-    geometry: BregmanGeometry,
-    ball: DualBall,
-) -> np.ndarray:
-    """One mirror-ascent step of the dual player, in closed form.
+def max_update(p: np.ndarray, residual: np.ndarray, eta: float, q: float) -> np.ndarray:
+    """One mirror-ascent step of the dual player for the residual norm
+    exponent q, in closed form at rate eta / 2.
 
-    The step moves to the point Q with grad R(Q) = grad R(P) + eta * step
-    and projects Q back onto the ball in the geometry's Bregman sense.
-    For R = s ||P||_2^2 on the 2-ball (p = 2) this is P + eta / (2 s) *
-    residual, shrunk radially when it leaves the ball.  For R = s times
-    entropy on the p = 1 lift, `p` holds the 2M + 1 positive weights and
-    the step is w * exp(eta / s * [residual; -residual; 0]), renormalized
-    to sum to one.  The game's geometries have s = 1 and s = 2, so both
-    steps have rate eta / 2.
+    The step moves to the point Q with grad R(Q) = grad R(P) + eta *
+    residual and Bregman-projects Q back (`bregman`).  At q = 2, R =
+    ||P||_2^2 on the unit 2-ball, and the step is P + eta / 2 * residual,
+    shrunk radially when it leaves the ball.  At q = inf, R = 2 times
+    entropy on the lift of the unit 1-ball, `p` holds the 2M + 1 positive
+    weights, and the step is w * exp(eta / 2 * [residual; -residual; 0]),
+    renormalized to sum to one.
     """
-    lifted = geometry.kind == ENTROPY
+    lifted = _infinite_q(q)
     p, residual = np.asarray(p, dtype=np.float64), np.asarray(residual, dtype=np.float64)
-    dim = 2 * ball.dim + 1 if lifted else ball.dim
-    shapes = (p.shape, residual.shape, geometry.dim)
-    if lifted != (ball.p == 1) or shapes != ((dim,), (ball.dim,), dim):
-        raise ValueError(
-            f"P {p.shape} and residual {residual.shape} do not fit the {geometry.kind!r} "
-            f"geometry of dimension {geometry.dim} on the unit {ball.p}-ball in R^{ball.dim}"
-        )
+    m = residual.size
+    if residual.shape != (m,) or p.shape != (2 * m + 1 if lifted else m,):
+        raise ValueError(f"P {p.shape} does not fit a residual {residual.shape} at q = {q}")
     if lifted and np.any(p <= 0):
         raise ValueError("lifted weights must be strictly positive")
-    rate = eta / geometry.scale if lifted else eta / (2.0 * geometry.scale)
-    return _dual_step(p, residual, rate, lifted)
+    return _dual_step(p, residual, eta / 2.0, lifted)
+
+
+def _infinite_q(q: float) -> bool:
+    """Whether the residual norm exponent is q = inf, where the dual player
+    plays on the lifted simplex, rather than q = 2; ValueError for any
+    other q."""
+    if not (q == 2 or q == np.inf):
+        raise ValueError(f"q must be 2 or inf, got {q}")
+    return bool(q == np.inf)
 
 
 def _dual_step(dual: np.ndarray, residual: np.ndarray, rate: float, lifted: bool) -> np.ndarray:
@@ -180,8 +169,8 @@ def _dual_step(dual: np.ndarray, residual: np.ndarray, rate: float, lifted: bool
 
 
 def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
-    """Exact maximum of ||Phi a - f||_q over 1-sparse plays with
-    ||a||_1 <= tau.
+    """Exact maximum of ||Phi a - f||_q, q in {2, inf}, over 1-sparse
+    plays with ||a||_1 <= tau.
 
     The objective is convex on each segment [-tau e_j, +tau e_j], so the
     maximum over the set is attained at one of the 2N signed, tau-scaled
@@ -192,9 +181,10 @@ def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
     """
     phi = np.asarray(phi, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
+    infinite = _infinite_q(q)
     if tau == 0:
         return lp_norm(f, q)
-    if np.isinf(q):
+    if infinite:
         return _linf_bound(np.max(np.abs(phi), axis=1), f, tau)
     col_sq = np.einsum("ij,ij->j", phi, phi)
     cross = np.abs(phi.T @ f)
@@ -306,13 +296,13 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
     A round answers P with the 1-sparse play -tau sign(r_i) e_i, whose
     residual A play - f is the column lookup -tau sign(r_i) A[:, i] - f
     (equal to the dense product, which only adds exact zeros), and whose
-    loss is <P, residual>.  The dual step is `_dual_step` at rate eta / 2,
-    the step `max_update` takes in the game's geometries.  So a round
-    costs one correlation, one column and O(M).
+    loss is <P, residual>.  The dual step is `max_update`'s, unchecked
+    (`_dual_step`).  So a round costs one correlation, one column and
+    O(M).
     """
     m = f.size
     t_rounds, q, tau = cfg.rounds, cfg.q, cfg.tau
-    lifted = bool(np.isinf(q))
+    lifted = _infinite_q(q)
     if lifted:
         diameter = float(np.sqrt(2.0 * np.log(2 * m + 1)))
         dual = uniform_simplex_weights(m)

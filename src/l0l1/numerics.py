@@ -52,13 +52,13 @@ def check_integer(name: str, value) -> None:
 
 def as_index_set(support, n: int) -> np.ndarray:
     """Validate a support set: sorted, distinct column indices in [0, n),
-    as int64.  Integer-valued floats pass; any other value raises
-    ValueError instead of being truncated."""
+    as int64.  Integer-valued floats pass; any other value, and a boolean
+    mask, raises ValueError instead of being truncated or read as 0/1."""
     raw = np.asarray(support).ravel()
     with np.errstate(invalid="ignore"):
         s = raw.astype(np.int64)
-    if not np.array_equal(s, raw):
-        raise ValueError("support indices must be integers")
+    if raw.dtype == bool or not np.array_equal(s, raw):
+        raise ValueError("support indices must be integers, not fractions or a boolean mask")
     if s.size == 0:
         return s
     if np.any(s < 0) or np.any(s >= n):

@@ -67,9 +67,9 @@ def raw_uniforms(bitgen: np.random.Philox, n: int) -> np.ndarray:
 def gaussians(bitgen: np.random.Philox, n: int) -> np.ndarray:
     """n standard normals via the Box-Muller pair transform."""
     pairs = (n + 1) // 2
-    raw = bitgen.random_raw(2 * pairs)
-    u1 = ((raw[:pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53  # (0, 1]
-    u2 = (raw[pairs:] >> np.uint64(11)) * 2.0**-53  # [0, 1)
+    u = raw_uniforms(bitgen, 2 * pairs)
+    u1 = u[:pairs] + 2.0**-53  # (0, 1]
+    u2 = u[pairs:]  # [0, 1)
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2
     z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])

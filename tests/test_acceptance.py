@@ -13,7 +13,6 @@ import pytest
 
 from l0l1.bench import ExperimentPlan, preset_plan, run_experiment
 from l0l1.bregman import (
-    DualBall,
     bregman_distance,
     bregman_project,
     euclidean_geometry,
@@ -166,13 +165,13 @@ def test_criterion_04_bregman_property_suite():
         # generalized Pythagorean inequality, both geometries
         q_out = rng.normal(size=6) * 3.0
         if np.linalg.norm(q_out) > 1.0:
-            proj = bregman_project(euclid, DualBall(2, 6), q_out)
+            proj = bregman_project(euclid, q_out)
             worst["pyth"] = max(
                 worst["pyth"],
                 bregman_distance(euclid, p, proj) - bregman_distance(euclid, p, q_out),
             )
         qw_out = rng.uniform(0.05, 2.0, size=lifted_dim)
-        proj_w = bregman_project(entropy, DualBall(1, m), qw_out)
+        proj_w = bregman_project(entropy, qw_out)
         worst["pyth"] = max(
             worst["pyth"],
             bregman_distance(entropy, pw, proj_w) - bregman_distance(entropy, pw, qw_out),

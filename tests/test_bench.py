@@ -93,6 +93,10 @@ class TestPlans:
             ExperimentPlan(solvers=["nope"])
         with pytest.raises(ValueError):
             ExperimentPlan(sigma_grid=[])
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentPlan(workers=0)
+        with pytest.raises(ValueError, match="unknown experiment"):
+            preset_plan("bogus")
 
     def test_plan_file_round_trip(self, tmp_path):
         plan = small_plan(tmp_path, workers=2, game_rounds=12)
@@ -324,6 +328,18 @@ class TestSolveFile:
                 str(tmp_path / "phi.bin"),
                 str(tmp_path / "f.bin"),
                 "bogus",
+                str(tmp_path / "alpha.bin"),
+                k=1,
+            )
+
+    def test_clash_without_a_finite_tau_raises(self, tmp_path):
+        write_matrix(tmp_path / "phi.bin", np.eye(3))
+        write_vector(tmp_path / "f.bin", np.ones(3))
+        with pytest.raises(ValueError, match="finite --tau"):
+            solve_file(
+                str(tmp_path / "phi.bin"),
+                str(tmp_path / "f.bin"),
+                "clash",
                 str(tmp_path / "alpha.bin"),
                 k=1,
             )

@@ -4,7 +4,6 @@ import pytest
 from l0l1.bregman import (
     ENTROPY,
     BregmanGeometry,
-    DualBall,
     bregman_distance,
     bregman_project,
     euclidean_geometry,
@@ -34,15 +33,10 @@ class TestClosedForms:
     def test_entropy_derived_value(self):
         g = BregmanGeometry(ENTROPY, 2)
         val = bregman_distance(g, np.array([0.5, 0.5]), np.array([0.25, 0.75]))
-        expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
+        # scale 2: twice the Kullback-Leibler divergence
+        expected = np.log(2.0) + np.log(2.0 / 3.0)
         np.testing.assert_allclose(val, expected, atol=1e-12)
-        np.testing.assert_allclose(val, 0.14384, atol=1e-5)
-
-    def test_scale_multiplies(self):
-        g1 = BregmanGeometry(ENTROPY, 2, scale=1.0)
-        g2 = BregmanGeometry(ENTROPY, 2, scale=2.0)
-        p, q = np.array([0.4, 0.6]), np.array([0.5, 0.5])
-        assert bregman_distance(g2, p, q) == 2.0 * bregman_distance(g1, p, q)
+        np.testing.assert_allclose(val, 0.28768, atol=1e-5)
 
     def test_entropy_rejects_nonpositive(self):
         g = BregmanGeometry(ENTROPY, 2)
@@ -58,12 +52,12 @@ class TestGradMaps:
     def test_entropy_grad(self):
         g = BregmanGeometry(ENTROPY, 2)
         np.testing.assert_allclose(
-            grad_map(g, np.array([1.0, np.e])), [0.0, 1.0], atol=1e-15
+            grad_map(g, np.array([1.0, np.e])), [0.0, 2.0], atol=1e-15
         )
 
     def test_round_trips(self):
         rng = np.random.default_rng(0)
-        for g in (euclidean_geometry(6), BregmanGeometry(ENTROPY, 6, scale=2.0)):
+        for g in (euclidean_geometry(6), BregmanGeometry(ENTROPY, 6)):
             for _ in range(20):
                 p = rng.uniform(0.05, 2.0, size=6)
                 np.testing.assert_allclose(
@@ -78,24 +72,24 @@ class TestGradMaps:
 class TestProjection:
     def test_radial(self):
         g = euclidean_geometry(2)
-        out = bregman_project(g, DualBall(2, 2), np.array([3.0, 4.0]))
+        out = bregman_project(g, np.array([3.0, 4.0]))
         np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
 
     def test_interior_fixed(self):
         g = euclidean_geometry(2)
         q = np.array([0.1, 0.2])
-        assert np.array_equal(bregman_project(g, DualBall(2, 2), q), q)
+        assert np.array_equal(bregman_project(g, q), q)
 
     def test_simplex_normalization(self):
         g = lifted_entropy_geometry(1)
-        out = bregman_project(g, DualBall(1, 1), np.array([2.0, 1.0, 1.0]))
+        out = bregman_project(g, np.array([2.0, 1.0, 1.0]))
         np.testing.assert_allclose(out, [0.5, 0.25, 0.25], atol=1e-15)
 
     def test_simplex_normalization_is_kl_optimal(self):
         # fine grid over the 2-simplex: no feasible point is KL-closer
         g = BregmanGeometry(ENTROPY, 3)
         q = np.array([2.0, 1.0, 1.0])
-        projected = bregman_project(lifted_entropy_geometry(1), DualBall(1, 1), q)
+        projected = bregman_project(lifted_entropy_geometry(1), q)
         best = np.inf
         steps = 120
         for i in range(steps + 1):
@@ -107,9 +101,19 @@ class TestProjection:
                 best = min(best, bregman_distance(g, w, q))
         assert bregman_distance(g, projected, q) <= best + 1e-9
 
-    def test_unsupported_pairing_rejected(self):
+    @pytest.mark.parametrize(
+        "g, q",
+        [
+            (euclidean_geometry(2), np.ones(3)),
+            (lifted_entropy_geometry(1), np.ones(2)),
+            (lifted_entropy_geometry(1), np.array([2.0, -1.0, 1.0])),
+            (lifted_entropy_geometry(1), np.zeros(3)),
+        ],
+        ids=["euclidean shape", "entropy shape", "negative weight", "zero weights"],
+    )
+    def test_rejects_bad_points(self, g, q):
         with pytest.raises(ValueError):
-            bregman_project(euclidean_geometry(2), DualBall(1, 2), np.ones(2))
+            bregman_project(g, q)
 
 
 class TestLift:
@@ -137,7 +141,7 @@ class TestProperties:
     def _geometry(self, which, dim):
         if which == "euclidean":
             return euclidean_geometry(dim)
-        return BregmanGeometry(ENTROPY, dim, scale=2.0)
+        return BregmanGeometry(ENTROPY, dim)
 
     @pytest.mark.parametrize("which", GEOMETRIES)
     def test_nonnegative_zero_iff_equal(self, which):
@@ -183,25 +187,23 @@ class TestProperties:
     def test_pythagorean_euclidean(self):
         rng = np.random.default_rng(20)
         g = euclidean_geometry(5)
-        ball = DualBall(2, 5)
         for _ in range(200):
             q = rng.normal(size=5) * 3
             if np.linalg.norm(q) <= 1:
                 continue
             p = rng.normal(size=5)
             p = p / max(1.0, np.linalg.norm(p))
-            pq = bregman_project(g, ball, q)
+            pq = bregman_project(g, q)
             assert bregman_distance(g, p, q) >= bregman_distance(g, p, pq) - 1e-10
 
     def test_pythagorean_entropy(self):
         rng = np.random.default_rng(21)
         m = 3
         g = lifted_entropy_geometry(m)
-        ball = DualBall(1, m)
         for _ in range(200):
             q = rng.uniform(0.05, 2.0, size=2 * m + 1)
             p = random_simplex_point(rng, 2 * m + 1)
-            pq = bregman_project(g, ball, q)
+            pq = bregman_project(g, q)
             assert bregman_distance(g, p, q) >= bregman_distance(g, p, pq) - 1e-10
 
     def test_strong_convexity_euclidean(self):

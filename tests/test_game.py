@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from l0l1 import game
-from l0l1.bregman import (
-    DualBall,
-    euclidean_geometry,
-    lifted_entropy_geometry,
-    simplex_to_dual,
-    uniform_simplex_weights,
-)
+from l0l1.bregman import simplex_to_dual, uniform_simplex_weights
 from l0l1.game import (
     GameConfig,
     _dantzig_bound,
@@ -75,6 +69,10 @@ class TestHolderOptimalDual:
         p = holder_optimal_dual(f, phi, f, 2)
         assert np.array_equal(p, np.zeros(2))
 
+    def test_rejects_other_exponents(self):
+        with pytest.raises(ValueError, match="q must be 2 or inf"):
+            holder_optimal_dual(np.ones(2), np.eye(2), np.zeros(2), 3)
+
     def test_tightness_random(self):
         rng = np.random.default_rng(2)
         for q in (2, np.inf):
@@ -104,6 +102,11 @@ class TestSparseBestResponse:
         play = sparse_best_response(np.zeros(2), np.eye(2), np.ones(2), 1.0)
         assert np.array_equal(play, np.zeros(2))
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            sparse_best_response(np.array([1.0, 0.0]), np.eye(2), np.zeros(2), tau)
+
     def test_achieves_minimum_loss(self):
         # L(P, play) = -tau * ||Phi^T P||_inf + <P, -f>
         rng = np.random.default_rng(3)
@@ -126,52 +129,44 @@ class TestSparseBestResponse:
 
 class TestMaxUpdate:
     def test_zero_step_identity(self):
-        g = euclidean_geometry(2)
         p = np.array([0.1, -0.2])
-        out = max_update(p, np.array([1.0, 1.0]), 0.0, g, DualBall(2, 2))
+        out = max_update(p, np.array([1.0, 1.0]), 0.0, 2)
         np.testing.assert_allclose(out, p, atol=1e-15)
 
     def test_euclidean_half_factor(self):
-        g = euclidean_geometry(2)
-        out = max_update(np.zeros(2), np.array([0.3, 0.0]), 1.0, g, DualBall(2, 2))
+        out = max_update(np.zeros(2), np.array([0.3, 0.0]), 1.0, 2)
         np.testing.assert_allclose(out, [0.15, 0.0], atol=1e-15)
 
     def test_euclidean_projection_after_step(self):
-        g = euclidean_geometry(2)
-        out = max_update(np.zeros(2), np.array([3.0, 4.0]), 4.0, g, DualBall(2, 2))
+        out = max_update(np.zeros(2), np.array([3.0, 4.0]), 4.0, 2)
         np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
 
     def test_lifted_update_stays_on_simplex(self):
         m = 3
-        g = lifted_entropy_geometry(m)
-        ball = DualBall(1, m)
         w = uniform_simplex_weights(m)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            w = max_update(w, rng.normal(size=m), 0.5, g, ball)
+            w = max_update(w, rng.normal(size=m), 0.5, np.inf)
             assert np.all(w >= 0)
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
             assert np.abs(simplex_to_dual(w)).sum() <= 1 + 1e-12
 
     def test_lifted_zero_step_identity(self):
-        m = 2
-        g = lifted_entropy_geometry(m)
         w = np.array([0.3, 0.2, 0.1, 0.15, 0.25])
-        out = max_update(w, np.array([1.0, -2.0]), 0.0, g, DualBall(1, m))
+        out = max_update(w, np.array([1.0, -2.0]), 0.0, np.inf)
         np.testing.assert_allclose(out, w, atol=1e-15)
 
-    @pytest.mark.parametrize("defect", ["short residual", "pairing", "zero weight"])
+    @pytest.mark.parametrize("defect", ["short residual", "zero weight", "exponent"])
     def test_rejects_mismatched_inputs(self, defect):
-        g, ball = lifted_entropy_geometry(2), DualBall(1, 2)
-        w, r = uniform_simplex_weights(2), np.array([1.0, -2.0])
+        w, r, q = uniform_simplex_weights(2), np.array([1.0, -2.0]), np.inf
         if defect == "short residual":
-            r = r[:1]
-        elif defect == "pairing":
-            ball = DualBall(2, 2)
+            r, message = r[:1], "does not fit"
+        elif defect == "zero weight":
+            w, message = np.array([0.5, 0.0, 0.0, 0.25, 0.25]), "positive"
         else:
-            w = np.array([0.5, 0.0, 0.0, 0.25, 0.25])
-        with pytest.raises(ValueError):
-            max_update(w, r, 0.5, g, ball)
+            q, message = 3, "q must"
+        with pytest.raises(ValueError, match=message):
+            max_update(w, r, 0.5, q)
 
 
 class TestLossBound:
@@ -184,6 +179,11 @@ class TestLossBound:
     def test_zero_tau(self):
         f = np.array([3.0, -4.0])
         assert loss_bound(np.eye(2), f, 0.0, 2) == 5.0
+
+    def test_rejects_other_exponents(self):
+        # q = 3 took the q = 2 formula
+        with pytest.raises(ValueError, match="q must be 2 or inf"):
+            loss_bound(np.eye(2), np.ones(2), 1.0, 3)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
@@ -260,11 +260,9 @@ def reference_game(phi, f, cfg):
     plays as tau times their signed counts over T."""
     m, n = phi.shape
     if np.isinf(cfg.q):
-        geometry, ball = lifted_entropy_geometry(m), DualBall(1, m)
         diameter = np.sqrt(2.0 * np.log(2 * m + 1))
         dual, decode = uniform_simplex_weights(m), simplex_to_dual
     else:
-        geometry, ball = euclidean_geometry(m), DualBall(2, m)
         diameter, dual, decode = 1.0, np.zeros(m), lambda p: p
     g_bound = loss_bound(phi, f, cfg.tau, cfg.q)
     eta = 2.0 * diameter / (g_bound * np.sqrt(cfg.rounds))
@@ -274,7 +272,7 @@ def reference_game(phi, f, cfg):
         play = sparse_best_response(p, phi, f, cfg.tau)
         history.append(loss(p, play, phi, f))
         counts += np.sign(play).astype(np.int64)
-        dual = max_update(dual, phi @ play - f, eta, geometry, ball)
+        dual = max_update(dual, phi @ play - f, eta, cfg.q)
     alpha = clip_into_l1_ball(cfg.tau * counts / cfg.rounds, cfg.tau)
     return alpha, history, g_bound, lp_norm(phi @ alpha - f, cfg.q)
 
@@ -381,10 +379,6 @@ class TestGameSolve:
     def test_per_round_plays_one_sparse_with_full_budget(self):
         phi, alpha_star, f = self._instance(4)
         tau = np.abs(alpha_star).sum()
-        from l0l1.bregman import DualBall, euclidean_geometry
-
-        g = euclidean_geometry(phi.shape[0])
-        ball = DualBall(2, phi.shape[0])
         g_bound = loss_bound(phi, f, tau, 2)
         eta = 2.0 / (g_bound * np.sqrt(50))
         p = np.zeros(phi.shape[0])
@@ -402,7 +396,7 @@ class TestGameSolve:
             alpha_sum += play
             best = min(best, lp_norm(phi @ (alpha_sum / t) - f, 2))
             running_best.append(best)
-            p = max_update(p, phi @ play - f, eta, g, ball)
+            p = max_update(p, phi @ play - f, eta, 2)
         assert all(b1 >= b2 for b1, b2 in zip(running_best, running_best[1:]))
 
     def test_zero_problem_returns_zero(self):
@@ -499,6 +493,9 @@ class TestGameSolve:
             GameConfig(rounds=2.5)
         with pytest.raises(ValueError):
             GameConfig(rounds=5, q=3)
+        # -inf was accepted, and the solve failed only after its last round
+        with pytest.raises(ValueError, match="q must be 2 or inf"):
+            GameConfig(rounds=5, q=-np.inf)
         with pytest.raises(ValueError):
             GameConfig(rounds=5, tau=0.0)
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l0l1.numerics import (
+    as_matrix,
+    as_vector,
     lp_norm,
     load_matrix_auto,
     read_matrix,
@@ -43,6 +45,16 @@ def gradient_rounding(a_s, f):
     of A_S's distinct columns, on the scale ||A_S||_2 ||f||_2."""
     kappa = np.linalg.cond(np.unique(a_s, axis=1)) ** 2
     return 100 * np.finfo(float).eps * kappa * np.linalg.norm(a_s, 2) * np.linalg.norm(f)
+
+
+class TestValidation:
+    def test_matrix_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            as_matrix(np.ones(3))
+
+    def test_vector_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="expected a 1-d vector"):
+            as_vector(np.ones((2, 2)))
 
 
 class TestLpNorm:
@@ -135,11 +147,22 @@ class TestRestrictedLsq:
         with pytest.raises(ValueError):
             restricted_lsq(a, f, [1, 4])
 
-    @pytest.mark.parametrize("support", [[0.7, 2.9], [1.0, 2.5], [np.nan], [1.0, np.inf]])
+    @pytest.mark.parametrize("support", [[0.7, 2.9], [1.0, 2.5], [np.nan], [1.0, np.inf],
+                                         [False, True], np.array([True, False, True, True])])
     def test_non_integer_support_raises_value_error(self, support):
-        # [0.7, 2.9] was truncated to [0, 2] and solved there
+        # [0.7, 2.9] was truncated to [0, 2] and solved there, and the
+        # boolean mask [False, True] read as the indices [0, 1]
         a, f = np.eye(4), np.arange(1.0, 5.0)
         with pytest.raises(ValueError, match="integers"):
+            restricted_lsq(a, f, support)
+
+    @pytest.mark.parametrize(
+        "support, message",
+        [([1, 4], "lie in"), ([-1, 2], "lie in"), ([2, 1], "increasing"), ([1, 1], "increasing")],
+    )
+    def test_bad_index_set_raises_value_error(self, support, message):
+        a, f = np.eye(4), np.arange(1.0, 5.0)
+        with pytest.raises(ValueError, match=message):
             restricted_lsq(a, f, support)
 
     @pytest.mark.parametrize("support", [[], np.array([], dtype=float), [0.0, 2.0],
@@ -205,6 +228,19 @@ class TestFileFormats:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             read_matrix(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        write_matrix(path, np.ones((2, 3)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            read_matrix(path)
+
+    def test_vector_reader_rejects_a_matrix(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_matrix(path, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="expected a vector"):
+            read_vector(path)
 
     def test_csv_reader(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -251,6 +251,18 @@ class TestProjectKTau:
                     _, best_d = joint_projection_oracle(w, k, tau)
                     assert np.sum((mine - w) ** 2) <= best_d + 1e-9
 
+    @pytest.mark.parametrize(
+        "k, tau, message",
+        [(0, 1.0, "k must be >= 1"), (2, -1.0, "tau must be >= 0"), (2, np.nan, "tau must be >= 0")],
+    )
+    def test_bad_constraint_set_rejected(self, k, tau, message):
+        with pytest.raises(ValueError, match=message):
+            ConstraintSet(k, tau)
+
+    def test_k_above_length_rejected(self):
+        with pytest.raises(ValueError, match="exceeds vector length"):
+            project_k_tau(np.ones(3), ConstraintSet(4, 1.0))
+
     def test_zero_vector_everywhere(self):
         for proj in (
             lambda w: hard_threshold(w, 2),

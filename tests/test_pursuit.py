@@ -1355,6 +1355,14 @@ class TestLassoPG:
         with pytest.raises(ValueError):
             lasso_pg_solve(phi, f, 1.0, **settings)
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan])
+    def test_bad_tau_rejected_before_any_product(self, tau, monkeypatch):
+        # l1_project rejects such a tau too, but only after the power iteration
+        monkeypatch.setattr(pursuit, "_power_iter_cols", lambda phi: pytest.fail("solve started"))
+        phi, f, _ = gaussian_case(7, m=12, n=30)
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            lasso_pg_solve(phi, f, tau)
+
     def test_default_settings_stop_before_the_cap_at_bench_size(self):
         p = desk_instance(derive_seed(900, 0), n=1000, m=305, k=115, sigma=1e-3)
         res = lasso_pg_solve(p.phi, p.f, p.tau_star)

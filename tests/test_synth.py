@@ -53,6 +53,10 @@ class TestStreams:
         assert np.all(np.diff(s) > 0)
         assert s.min() >= 0 and s.max() < 50
 
+    def test_sample_support_rejects_more_than_the_population(self):
+        with pytest.raises(ValueError, match="cannot draw"):
+            sample_support(philox_stream(3, 9), 5, 6)
+
     def test_derive_seed_deterministic_and_spread(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         seeds = {derive_seed(7, i) for i in range(1000)}
@@ -191,6 +195,10 @@ class TestRipProbe:
     def test_bad_sparsity_rejected(self):
         with pytest.raises(ValueError):
             rip_probe(np.eye(5), 6, 2, 10, seed=0)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            rip_probe(np.eye(5), 2, 2, 0, seed=0)
 
     def test_non_finite_matrix_rejected(self):
         # the probes through a NaN column are NaN, and max would drop them
