@@ -41,7 +41,7 @@ from .pursuit import (
     lasso_pg_solve,
     sp_solve,
 )
-from .results import IterateTrace, SolverResult
+from .results import SolverResult
 from .synth import GeneratedProblem, ProblemSpec, generate, rip_probe
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "iht_solve",
     "lasso_pg_solve",
     "sp_solve",
-    "IterateTrace",
     "SolverResult",
     "GeneratedProblem",
     "ProblemSpec",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .numerics import _restricted_lsq, as_system, check_integer, independent
 from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
-from .results import IterateTrace, SolverResult
+from .results import SolverResult
 
 
 # (stage budgets as fractions of tau, momentum) for each warm start of
@@ -118,26 +118,21 @@ def _unit_scale(f: np.ndarray, *budgets: float) -> tuple:
         return (e, np.ldexp(f, -e), *(float(np.ldexp(b, -e)) for b in budgets))
 
 
-def _scale_back(e: int, result: SolverResult, trace: IterateTrace | None = None,
-                power: int = 1):
-    """A `result` computed on 2^-e f (`_unit_scale`), for f itself: alpha
-    and the residual norms times 2^e, and the history, of residual norms
-    to the `power`, times 2^(power e), reading inf where that overflows.
-    With a `trace`, returns (result, trace) with the trace's iterates and
-    deltas scaled like alpha."""
+def _scale_back(e: int, result: SolverResult, iterates: list | None = None):
+    """A `result` computed on 2^-e f (`_unit_scale`), for f itself: alpha,
+    the residual norms and the history of residual norms times 2^e, the
+    history reading inf where that overflows.  With `iterates`, returns
+    (result, iterates) with each iterate scaled like alpha."""
     with np.errstate(over="ignore"):
-        history = np.ldexp(result.history, power * e).tolist()
+        history = np.ldexp(result.history, e).tolist()
     scaled = SolverResult(
         np.ldexp(result.alpha, e), float(np.ldexp(result.residual_l2, e)),
         float(np.ldexp(result.residual_q, e)), history, result.iterations,
         result.termination,
     )
-    if trace is None:
+    if iterates is None:
         return scaled
-    deltas = np.ldexp(trace.iterate_deltas, e).tolist()
-    return scaled, IterateTrace(
-        trace.supports, deltas, [np.ldexp(it, e) for it in trace.iterates]
-    )
+    return scaled, [np.ldexp(it, e) for it in iterates]
 
 
 def _power_iter_cols(a: np.ndarray) -> float:
@@ -444,14 +439,15 @@ def _l1_active_set(
 
 def sp_solve(
     phi: np.ndarray, f: np.ndarray, cfg: PursuitConfig
-) -> tuple[SolverResult, IterateTrace]:
+) -> tuple[SolverResult, list[np.ndarray]]:
     """Subspace pursuit (Dai & Milenkovic 2009): `clash_solve` at
     tau = inf, whatever `cfg.tau` is, so one run of `_clash_loop` from
     alpha = 0 with restricted least squares as its inner solve.
 
+    Returns the result and the list of iterates, as `clash_solve` does.
     The first iteration is the least-squares fit on the top-k
     correlations of Phi^T f, and it counts in `iterations` and is entry 0
-    of the history and the trace.
+    of the history and of the iterates.
     """
     return _pursue(phi, f, cfg.sparsity, np.inf)
 
@@ -466,15 +462,15 @@ def _clash_loop(
     memo: dict | None = None,
     factor: tuple[np.ndarray, np.ndarray] | None = None,
     target: np.ndarray | None = None,
-) -> tuple[SolverResult, IterateTrace, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[SolverResult, list[np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
     """The four steps of `clash_solve` at a fixed budget (k, tau), from
-    alpha0.  Returns the result, the trace and the factorization of the
-    last iterate.
+    alpha0.  Returns the result, the list of iterates and the
+    factorization of the last iterate.
 
     The result holds the last iterate, its residual norm, the residual
     norm of every iterate as history, the iteration count and the
-    termination; the trace holds every iterate with its support and its
-    distance from the one before.  The expansion ranks
+    termination.  Each iterate is a fresh array, never written again, so
+    the list holds the arrays themselves, not copies.  The expansion ranks
     g = Phi^T (f - Phi alpha) off the support, or with `momentum` the same
     at an extrapolation of the last two iterates.  The de-bias is skipped
     when pruning keeps every nonzero of the step-2 answer, which then
@@ -529,7 +525,7 @@ def _clash_loop(
     residual = f - phi @ alpha
     res_norm = float(np.sqrt(residual @ residual))
     history: list[float] = []
-    trace = IterateTrace()
+    iterates: list[np.ndarray] = []
     termination = "max-iterations"
     for it in range(_MAX_ITERATIONS):
         if momentum and it > 0:
@@ -572,7 +568,7 @@ def _clash_loop(
         alpha, support, factor = alpha_new, np.nonzero(alpha_new)[0], factor_new
         residual, res_norm = residual_new, res_norm_new
         history.append(res_norm)
-        trace.record(support, delta, alpha)
+        iterates.append(alpha)
         if target is not None and np.array_equal(alpha, target):
             termination = "repeat"
             break
@@ -581,12 +577,12 @@ def _clash_loop(
             break
     iterations = it if termination == "certified" else it + 1
     result = SolverResult(alpha, res_norm, res_norm, history, iterations, termination)
-    return result, trace, factor
+    return result, iterates, factor
 
 
 def clash_solve(
     phi: np.ndarray, f: np.ndarray, cfg: PursuitConfig
-) -> tuple[SolverResult, IterateTrace]:
+) -> tuple[SolverResult, list[np.ndarray]]:
     """Joint sparsity-and-norm pursuit.
 
     Per iteration: (1) active set expansion - union the current support
@@ -603,9 +599,9 @@ def clash_solve(
 
     With a finite tau the loop runs from a portfolio of warm starts and
     the smallest final residual wins; `_pursue` states the order and the
-    stops.  The history, trace and iteration count are those of the
-    winning member's full-budget loop.  With tau = inf the result is
-    `sp_solve`'s.
+    stops.  Returns the result and the list of iterates of the winning
+    member's full-budget loop, whose history and iteration count the
+    result reports.  With tau = inf both are `sp_solve`'s.
     """
     return _pursue(phi, f, cfg.sparsity, cfg.tau)
 
@@ -637,7 +633,7 @@ def _duality_gap(
 
 def _pursue(
     phi: np.ndarray, f: np.ndarray, k: int, tau: float
-) -> tuple[SolverResult, IterateTrace]:
+) -> tuple[SolverResult, list[np.ndarray]]:
     """The body of `clash_solve` and `sp_solve`: one cold start from
     alpha = 0 when tau is infinite, else the portfolio of warm starts.
 
@@ -679,14 +675,14 @@ def _pursue(
     finite = np.isfinite(tau)
     portfolio = CONTINUATION_PORTFOLIO if finite else (((), False),)
     exact_fit = 1e-6 * float(np.sqrt(f @ f))
-    best: tuple[SolverResult, IterateTrace] | None = None
+    best: tuple[SolverResult, list[np.ndarray]] | None = None
     stalls, certified, target = 0, False, None
     memo: dict = {}
     for schedule, momentum in portfolio:
         alpha, factor = np.zeros(n), None
         budgets = [fraction * tau for fraction in schedule] + [tau]
         for stage, budget in enumerate(budgets, 1):
-            result, trace, factor = _clash_loop(
+            result, iterates, factor = _clash_loop(
                 phi, f, k, budget, l1_project(alpha, budget), momentum, memo,
                 factor, target if stage == len(budgets) else None,
             )
@@ -697,7 +693,7 @@ def _pursue(
         else:
             stalls += 1
         if best is None or res_norm < best[0].residual_l2:
-            best = result, trace
+            best = result, iterates
             certified = result.termination == "certified"
             if finite and not certified:
                 gap, rounding = _duality_gap(phi, f, alpha, tau)
@@ -745,8 +741,8 @@ def lasso_pg_solve(
     in floating point; "max-iterations" after `max_iter` iterations; and
     "degenerate", with no iteration, when tau = 0 or Phi = 0.  `tol` is
     absolute, so scaling Phi by c does not scale the answer by 1/c.  The
-    history holds the squared objective at x after each iteration, so it
-    is non-increasing.  Raises ValueError for tau < 0, a NaN or negative
+    history holds the residual 2-norm at x after each iteration, so it is
+    non-increasing.  Raises ValueError for tau < 0, a NaN or negative
     `tol`, or `max_iter` below 1.  The solve runs at a power-of-two scale
     of f, tau and `tol` (`_unit_scale`).
     """
@@ -766,8 +762,7 @@ def lasso_pg_solve(
         alpha = l1_project(x, tau)
         r = phi @ alpha - f
         nrm = float(np.sqrt(r @ r))
-        result = SolverResult(alpha, nrm, nrm, [nrm * nrm], 0, "degenerate")
-        return _scale_back(e, result, power=2)
+        return _scale_back(e, SolverResult(alpha, nrm, nrm, [nrm], 0, "degenerate"))
     curve = lam
     rx = phi @ x - f
     fx = float(rx @ rx)
@@ -800,7 +795,7 @@ def lasso_pg_solve(
         restart = fz > fx or float(moved @ (x - z)) > 0.0
         if fz <= fx:
             x_prev, rx_prev, x, rx, fx = x, rx, z, rz, fz
-        history.append(fx)
+        history.append(float(np.sqrt(fx)))
         if float(np.sqrt(moved @ moved)) * lam <= tol:
             termination = "converged"
             break
@@ -808,9 +803,8 @@ def lasso_pg_solve(
             termination = "stalled"
             break
         t = 1.0 if restart else t_next
-    nrm = float(np.sqrt(fx))
-    result = SolverResult(x, nrm, nrm, history, iterations, termination)
-    return _scale_back(e, result, power=2)
+    nrm = history[-1]
+    return _scale_back(e, SolverResult(x, nrm, nrm, history, iterations, termination))
 
 
 def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
@@ -889,18 +883,19 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
 
 
 def contraction_check(
-    trace: IterateTrace,
+    trace: list[np.ndarray],
     alpha_true: np.ndarray,
     rho_bound: float,
     c1: float,
     noise_norm: float,
 ) -> ContractionReport:
     """Check the empirical envelope e_{i+1} <= rho * e_i + c1 * ||n||_2,
-    with e_i = ||alpha_i - alpha_true||_2 over the iterates of `trace`.
-    Raises ValueError if the trace has fewer than two iterates."""
-    if len(trace.iterates) < 2:
+    with e_i = ||alpha_i - alpha_true||_2 over `trace`, the list of
+    iterates that `sp_solve` and `clash_solve` return.  Raises ValueError
+    if the trace has fewer than two iterates."""
+    if len(trace) < 2:
         raise ValueError("trace has fewer than two iterates to check")
-    e = [float(np.sqrt(np.sum((it - alpha_true) ** 2))) for it in trace.iterates]
+    e = [float(np.sqrt(np.sum((it - alpha_true) ** 2))) for it in trace]
     noise_term = c1 * noise_norm
     violations = [
         (i, e[i + 1], rho_bound * e[i] + noise_term)

@@ -1,4 +1,11 @@
-"""Result records shared by every solver in the package."""
+"""The result record shared by every solver in the package.
+
+A pursuit's history holds the residual 2-norm ||f - Phi alpha||_2 after
+each iteration, so its last entry is `residual_l2`; the game solvers'
+holds each round's loss (`game.loss`).  `pursuit.sp_solve` and
+`pursuit.clash_solve` also return the list of their iterates, one array
+per history entry.
+"""
 
 from __future__ import annotations
 
@@ -18,19 +25,3 @@ class SolverResult:
     history: list[float] = field(default_factory=list)
     iterations: int = 0
     termination: str = ""
-
-
-@dataclass
-class IterateTrace:
-    """Per-iteration record of a pursuit run: each iterate's support, its
-    2-norm distance from the iterate before it, and a copy of the iterate.
-    The residual norms are the run's `SolverResult.history`."""
-
-    supports: list[np.ndarray] = field(default_factory=list)
-    iterate_deltas: list[float] = field(default_factory=list)
-    iterates: list[np.ndarray] = field(default_factory=list)
-
-    def record(self, support, delta, iterate):
-        self.supports.append(np.asarray(support, dtype=np.int64))
-        self.iterate_deltas.append(float(delta))
-        self.iterates.append(np.array(iterate, dtype=np.float64))

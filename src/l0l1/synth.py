@@ -36,7 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .numerics import as_matrix, lp_norm, write_matrix, write_vector
+from .numerics import as_matrix, check_integer, lp_norm, write_matrix, write_vector
 
 # purpose tags for stream addressing
 MATRIX_STREAM = 1
@@ -109,7 +109,8 @@ class ProblemSpec:
     noise 2-norm in "fixed-norm" mode.  `matrix_scaling` selects unit
     entry variance or 1/sqrt(M) entry standard deviation (the latter makes
     columns near unit norm, matching the near-isometry the recovery
-    guarantees presume).
+    guarantees presume).  `n`, `m` and `k` must be integers, and `seed`
+    an integer in [0, 2^64), the range of a Philox key word.
     """
 
     n: int
@@ -121,6 +122,10 @@ class ProblemSpec:
     noise_mode: str = "std"
 
     def __post_init__(self):
+        for name in ("n", "m", "k", "seed"):
+            check_integer(name, getattr(self, name))
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if not (1 <= self.k <= self.m <= self.n):
             raise ValueError(f"need 1 <= k <= M <= N, got k={self.k}, M={self.m}, N={self.n}")
         # written so that NaN fails
@@ -203,9 +208,12 @@ def rip_probe(
     largest observed deviation |  ||phi a||_q - 1 |.  Because the probes
     are random rather than adversarial this is a LOWER bound on the true
     constant, never a certificate.  Raises ValueError for a Phi that is
-    not a 2-d matrix with finite entries.
+    not a 2-d matrix with finite entries, and for an `s` or `trials` that
+    is not an integer.
     """
     phi = as_matrix(phi)
+    check_integer("s", s)
+    check_integer("trials", trials)
     n = phi.shape[1]
     if not 1 <= s <= n:
         raise ValueError(f"sparsity {s} out of range [1, {n}]")

@@ -326,16 +326,17 @@ def test_criterion_10_clash_sp_equivalence_at_infinite_tau():
         )
         differ = [
             f_.name
-            for a, b in ((sp_res, clash_res), (sp_trace, clash_trace))
-            for f_ in fields(a)
-            if _bits(getattr(a, f_.name)) != _bits(getattr(b, f_.name))
+            for f_ in fields(sp_res)
+            if _bits(getattr(sp_res, f_.name)) != _bits(getattr(clash_res, f_.name))
         ]
+        if _bits(sp_trace) != _bits(clash_trace):
+            differ.append("trace")
         if differ:
             mismatched.append((i, differ))
     report(
         10,
         not mismatched,
-        f"10 instances, every result and trace field bit-identical; mismatched={mismatched}",
+        f"10 instances, every result field and iterate bit-identical; mismatched={mismatched}",
     )
 
 

@@ -98,6 +98,14 @@ class TestPlans:
         with pytest.raises(ValueError, match="unknown experiment"):
             preset_plan("bogus")
 
+    @pytest.mark.parametrize("name", ["trials", "workers", "game_rounds", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+    def test_non_integer_counts_rejected(self, name, value):
+        # trials, workers and seed were accepted and failed in run_experiment
+        # with TypeError, and game_rounds only inside GameConfig
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ExperimentPlan(**{name: value})
+
     def test_plan_file_round_trip(self, tmp_path):
         plan = small_plan(tmp_path, workers=2, game_rounds=12)
         path = tmp_path / "plan.txt"

@@ -161,6 +161,18 @@ class TestGenerate:
                 ProblemSpec(n=30, m=20, k=5, sigma=sigma)
         with pytest.raises(ValueError):
             ProblemSpec(n=30, m=20, k=5, matrix_scaling="bogus")
+        # a float count raised TypeError inside generate, and a fractional
+        # seed silently generated its integer part's problem
+        for name in ("n", "m", "k"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                ProblemSpec(**{"n": 40, "m": 20, "k": 5, name: 5.0})
+        for seed in (1.5, 1.9, 2.0, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ProblemSpec(n=40, m=20, k=5, seed=seed)
+        for seed in (-1, 2**64, np.int64(-3)):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+                ProblemSpec(n=40, m=20, k=5, seed=seed)
+        assert ProblemSpec(n=40, m=20, k=5, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 class TestRipProbe:
@@ -199,6 +211,13 @@ class TestRipProbe:
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             rip_probe(np.eye(5), 2, 2, 0, seed=0)
+
+    def test_non_integer_counts_rejected(self):
+        # each raised TypeError from inside the probe
+        with pytest.raises(ValueError, match="s must be an integer"):
+            rip_probe(np.eye(5), 2.5, 2, 10, seed=0)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            rip_probe(np.eye(5), 2, 2, 2.5, seed=0)
 
     def test_non_finite_matrix_rejected(self):
         # the probes through a NaN column are NaN, and max would drop them
