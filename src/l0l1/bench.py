@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .game import GameConfig, dantzig_game_solve, game_solve
-from .numerics import check_integer, load_matrix_auto, lp_norm, read_vector, write_vector
+from .numerics import SEED_MAX, check_count, load_matrix_auto, lp_norm, read_vector, write_vector
 from .pursuit import PursuitConfig, clash_solve, iht_solve, lasso_pg_solve, sp_solve
 from .results import SolverResult
 from .synth import (
@@ -162,8 +162,8 @@ class ExperimentPlan:
     `sigma_grid` holds noise levels (standard deviations, or exact noise
     2-norms when `noise_mode` is "fixed-norm"); `tau_grid` holds l1
     budgets as multiples of each instance's ||alpha*||_1.  The grid is
-    the cross product of the two.  The counts and the seed must be
-    integers.
+    the cross product of the two.  The counts and the seed are checked
+    by `numerics.check_count`, the seed as in `ProblemSpec`.
     """
 
     experiment: str = "custom"
@@ -191,19 +191,14 @@ class ExperimentPlan:
         # written so that NaN fails
         if not all(t > 0 for t in self.tau_grid):
             raise ValueError(f"tau_grid entries must be positive, got {self.tau_grid}")
-        for name in ("trials", "workers", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_count("trials", self.trials)
+        check_count("workers", self.workers)
+        check_count("seed", self.seed, 0, SEED_MAX)
         unknown = [s for s in self.solvers if s not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown solvers {unknown}; choose from {SOLVERS}")
         if self.game_rounds is not None:
-            check_integer("game_rounds", self.game_rounds)
-            if self.game_rounds < 1:
-                raise ValueError("game_rounds must be >= 1")
+            check_count("game_rounds", self.game_rounds)
         # the instance settings, checked as each cell will check them
         for sigma in self.sigma_grid:
             ProblemSpec(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import simplex_to_dual, uniform_simplex_weights
-from .numerics import as_system, check_integer, lp_norm
+from .numerics import as_system, check_count, lp_norm
 from .projections import clip_into_l1_ball
 from .results import SolverResult
 
@@ -43,9 +43,7 @@ class GameConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        check_integer("rounds", self.rounds)
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        check_count("rounds", self.rounds)
         _infinite_q(self.q)  # raises unless q is 2 or inf
         if not 0 < self.tau < np.inf:
             raise ValueError("tau must be positive and finite")
@@ -178,10 +176,13 @@ def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
     of ||tau phi_j -/+ f||_2^2 is tau^2 ||phi_j||^2 + 2 tau |phi_j^T f| +
     ||f||^2, a sum of nonnegative terms, so the bound takes the column
     norms and one product Phi^T f, and forms no M x N temporary.
+    ValueError for a negative or NaN tau.
     """
     phi = np.asarray(phi, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     infinite = _infinite_q(q)
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return lp_norm(f, q)
     if infinite:

@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 MAGIC = b"SPD1"
+SEED_MAX = 2**64 - 1
 
 
 def as_matrix(a) -> np.ndarray:
@@ -44,10 +45,17 @@ def as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
     return phi, f
 
 
-def check_integer(name: str, value) -> None:
-    """Reject a count setting that is not an integer, naming it."""
-    if not isinstance(value, (int, np.integer)):
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """Reject a count or seed that is not an int or numpy integer (a bool
+    is neither) or lies outside [low, high], with ValueError naming it.
+    A `high`, when given, is 2^b - 1, stated as [low, 2^b): seeds take
+    SEED_MAX, the range of a Philox key word."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= int(value) <= high:
+        raise ValueError(f"{name} must lie in [{low}, 2^{high.bit_length()}), got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def as_index_set(support, n: int) -> np.ndarray:
@@ -70,8 +78,10 @@ def as_index_set(support, n: int) -> np.ndarray:
 
 def lp_norm(x: np.ndarray, p: float) -> float:
     """The lp norm of a vector for p in [1, inf]; p = inf is the max magnitude.
-    ValueError for p below 1 or NaN."""
+    ValueError for an x that is not 1-d, and for p below 1 or NaN."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"lp_norm takes a 1-d vector, got shape {x.shape}")
     if not p >= 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     if np.isinf(p):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_integer
+from .numerics import check_count
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,7 @@ class ConstraintSet:
     tau: float
 
     def __post_init__(self):
-        check_integer("sparsity budget k", self.k)
-        if self.k < 1:
-            raise ValueError(f"sparsity budget k must be >= 1, got {self.k}")
+        check_count("sparsity budget k", self.k)
         if not self.tau >= 0:
             raise ValueError(f"l1 radius tau must be >= 0, got {self.tau}")
 
@@ -37,9 +35,7 @@ def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
     that is not an integer, or is below 1, raises ValueError.
     """
     w = np.asarray(w, dtype=np.float64)
-    check_integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("k", k)
     keep = top_k_support(w, k)
     out = np.zeros_like(w)
     out[keep] = w[keep]
@@ -49,12 +45,11 @@ def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
 def top_k_support(w: np.ndarray, k: int) -> np.ndarray:
     """Sorted indices of the k largest-magnitude entries (lowest-index ties).
 
-    k = 0 gives an empty array and k >= len(w) every index; a negative k
-    raises ValueError.
+    k = 0 gives an empty array and k >= len(w) every index; a k that is
+    not an integer, or is negative, raises ValueError.
     """
     w = np.asarray(w, dtype=np.float64)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_count("k", k, 0)
     if k == 0 or k >= w.size:
         return np.arange(min(k, w.size))
     # every magnitude above the k-th largest, then the lowest-index ties

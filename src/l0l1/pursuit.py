@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _restricted_lsq, as_system, check_integer, independent
+from .numerics import _restricted_lsq, as_system, check_count, independent
 from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
 from .results import SolverResult
 
@@ -65,9 +65,7 @@ class PursuitConfig:
     tau: float = np.inf
 
     def __post_init__(self):
-        check_integer("sparsity", self.sparsity)
-        if self.sparsity < 1:
-            raise ValueError("sparsity must be >= 1")
+        check_count("sparsity", self.sparsity)
         if not self.tau > 0:
             raise ValueError("tau must be positive (use inf to disable)")
 
@@ -95,9 +93,7 @@ def _check_sparsity(k: int, phi: np.ndarray) -> None:
     """Reject a sparsity that is not an integer, below 1, or above
     min(M, N): no more columns than Phi has, and no more than its rows,
     the most a least-squares fit determines."""
-    check_integer("sparsity", k)
-    if k < 1:
-        raise ValueError(f"sparsity must be >= 1, got {k}")
+    check_count("sparsity", k)
     if k > min(phi.shape):
         m, n = phi.shape
         raise ValueError(f"sparsity {k} exceeds min(M, N) = min({m}, {n})")
@@ -751,9 +747,7 @@ def lasso_pg_solve(
         raise ValueError("tau must be >= 0")
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    check_integer("max_iter", max_iter)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_count("max_iter", max_iter)
     e, f, tau, tol = _unit_scale(f, tau, tol)
     n = phi.shape[1]
     x = np.zeros(n)

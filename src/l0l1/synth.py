@@ -36,7 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .numerics import as_matrix, check_integer, lp_norm, write_matrix, write_vector
+from .numerics import SEED_MAX, as_matrix, check_count, lp_norm, write_matrix, write_vector
 
 # purpose tags for stream addressing
 MATRIX_STREAM = 1
@@ -109,8 +109,8 @@ class ProblemSpec:
     noise 2-norm in "fixed-norm" mode.  `matrix_scaling` selects unit
     entry variance or 1/sqrt(M) entry standard deviation (the latter makes
     columns near unit norm, matching the near-isometry the recovery
-    guarantees presume).  `n`, `m` and `k` must be integers, and `seed`
-    an integer in [0, 2^64), the range of a Philox key word.
+    guarantees presume).  `n`, `m`, `k` and `seed` are checked by
+    `numerics.check_count`, `seed` against SEED_MAX.
     """
 
     n: int
@@ -122,10 +122,9 @@ class ProblemSpec:
     noise_mode: str = "std"
 
     def __post_init__(self):
-        for name in ("n", "m", "k", "seed"):
-            check_integer(name, getattr(self, name))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        for name in ("n", "m", "k"):
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, 0, SEED_MAX)
         if not (1 <= self.k <= self.m <= self.n):
             raise ValueError(f"need 1 <= k <= M <= N, got k={self.k}, M={self.m}, N={self.n}")
         # written so that NaN fails
@@ -208,17 +207,17 @@ def rip_probe(
     largest observed deviation |  ||phi a||_q - 1 |.  Because the probes
     are random rather than adversarial this is a LOWER bound on the true
     constant, never a certificate.  Raises ValueError for a Phi that is
-    not a 2-d matrix with finite entries, and for an `s` or `trials` that
-    is not an integer.
+    not a 2-d matrix with finite entries, for an `s` above N, and for an
+    `s`, `trials` or `seed` that `numerics.check_count` rejects (`seed`
+    against SEED_MAX).
     """
     phi = as_matrix(phi)
-    check_integer("s", s)
-    check_integer("trials", trials)
+    check_count("s", s)
+    check_count("trials", trials)
+    check_count("seed", seed, 0, SEED_MAX)
     n = phi.shape[1]
-    if not 1 <= s <= n:
+    if s > n:
         raise ValueError(f"sparsity {s} out of range [1, {n}]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     worst = 0.0
     for t in range(trials):
         support = sample_support(philox_stream(seed, RIP_SUPPORT_STREAM, t), n, s)

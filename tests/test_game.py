@@ -185,6 +185,13 @@ class TestLossBound:
         with pytest.raises(ValueError, match="q must be 2 or inf"):
             loss_bound(np.eye(2), np.ones(2), 1.0, 3)
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan])
+    def test_rejects_a_negative_or_nan_tau(self, tau):
+        # -1 gave 1.0, below the tau = 0 bound sqrt(2), and NaN gave NaN
+        for q in (2, np.inf):
+            with pytest.raises(ValueError, match="tau must be >= 0"):
+                loss_bound(np.eye(2), np.ones(2), tau, q)
+
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
         for q in (2, np.inf):

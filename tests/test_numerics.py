@@ -1,8 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l0l1.bench import ExperimentPlan
+from l0l1.game import GameConfig
 from l0l1.numerics import (
     as_matrix,
     as_vector,
@@ -15,6 +20,9 @@ from l0l1.numerics import (
     write_matrix,
     write_vector,
 )
+from l0l1.projections import ConstraintSet, hard_threshold, top_k_support
+from l0l1.pursuit import PursuitConfig, iht_solve, lasso_pg_solve
+from l0l1.synth import ProblemSpec, rip_probe
 
 
 def gaussian_elimination_solve(a, b):
@@ -75,6 +83,62 @@ class TestLpNorm:
         # it returned nan
         with pytest.raises(ValueError, match="p >= 1"):
             lp_norm(np.ones(2), np.nan)
+
+    @pytest.mark.parametrize("x", [np.ones((2, 2)), np.float64(3.0)])
+    def test_rejects_a_matrix_or_scalar(self, x):
+        # a matrix gave its Frobenius norm
+        with pytest.raises(ValueError, match="1-d vector"):
+            lp_norm(x, 2)
+
+
+# every count and seed setting: (its name in the message, its lower
+# bound, a call that passes the value to it)
+COUNT_SITES = {
+    "ProblemSpec.n": ("n", 1, lambda v: ProblemSpec(n=v, m=2, k=1)),
+    "ProblemSpec.m": ("m", 1, lambda v: ProblemSpec(n=4, m=v, k=1)),
+    "ProblemSpec.k": ("k", 1, lambda v: ProblemSpec(n=4, m=4, k=v)),
+    "ProblemSpec.seed": ("seed", 0, lambda v: ProblemSpec(n=4, m=4, k=1, seed=v)),
+    "ExperimentPlan.trials": ("trials", 1, lambda v: ExperimentPlan(trials=v)),
+    "ExperimentPlan.workers": ("workers", 1, lambda v: ExperimentPlan(workers=v)),
+    "ExperimentPlan.game_rounds": ("game_rounds", 1, lambda v: ExperimentPlan(game_rounds=v)),
+    "ExperimentPlan.seed": ("seed", 0, lambda v: ExperimentPlan(seed=v)),
+    "rip_probe.s": ("s", 1, lambda v: rip_probe(np.eye(5), v, 2, 3, 0)),
+    "rip_probe.trials": ("trials", 1, lambda v: rip_probe(np.eye(5), 2, 2, v, 0)),
+    "rip_probe.seed": ("seed", 0, lambda v: rip_probe(np.eye(5), 2, 2, 3, v)),
+    "PursuitConfig.sparsity": ("sparsity", 1, lambda v: PursuitConfig(sparsity=v)),
+    "iht_solve.k": ("sparsity", 1, lambda v: iht_solve(np.eye(4), np.ones(4), v)),
+    "lasso_pg_solve.max_iter": (
+        "max_iter", 1, lambda v: lasso_pg_solve(np.eye(4), np.ones(4), 1.0, max_iter=v)
+    ),
+    "GameConfig.rounds": ("rounds", 1, lambda v: GameConfig(rounds=v)),
+    "ConstraintSet.k": ("sparsity budget k", 1, lambda v: ConstraintSet(k=v, tau=1.0)),
+    "hard_threshold.k": ("k", 1, lambda v: hard_threshold(np.ones(4), v)),
+    "top_k_support.k": ("k", 0, lambda v: top_k_support(np.ones(4), v)),
+}
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize("site", sorted(COUNT_SITES))
+    def test_every_site_rejects_what_check_count_rejects(self, site):
+        # bools ran as 1 or 0, fractions raised TypeError in top_k_support,
+        # and rip_probe and ExperimentPlan took any integer seed
+        name, low, call = COUNT_SITES[site]
+        for value in (True, np.True_, 1.5, 2.0):
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+                call(value)
+        if name == "seed":
+            for value in (-1, 2**64):
+                with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\^64\)"):
+                    call(value)
+            with warnings.catch_warnings():
+                # rip_probe's draw at this key warns; only the check is
+                # tested here (test_synth's key-rounding case)
+                warnings.simplefilter("ignore", RuntimeWarning)
+                call(np.uint64(2**64 - 1))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= {low}"):
+                call(low - 1)
+            call(np.int64(low + 1))
 
 
 class TestRestrictedLsq:

@@ -57,6 +57,15 @@ class TestStreams:
         with pytest.raises(ValueError, match="cannot draw"):
             sample_support(philox_stream(3, 9), 5, 6)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="philox_stream hands its key to numpy as a list, which goes through "
+        "float64 above 2^63: 2^63 + 1 becomes 2^63, and 2^64 - 1 an invalid cast",
+    )
+    def test_a_seed_above_2_63_is_its_own_philox_key(self):
+        seed = 2**63 + 1
+        assert int(philox_stream(seed, 0).state["state"]["key"][0]) == seed
+
     def test_derive_seed_deterministic_and_spread(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         seeds = {derive_seed(7, i) for i in range(1000)}
