@@ -40,7 +40,8 @@ import numpy as np
 
 from . import __version__
 from .game import GameConfig, dantzig_game_solve, game_solve
-from .numerics import SEED_MAX, check_count, load_matrix_auto, lp_norm, read_vector, write_vector
+from .numerics import SEED_MAX, check_budget, check_count, load_matrix_auto, lp_norm
+from .numerics import read_vector, write_vector
 from .pursuit import PursuitConfig, clash_solve, iht_solve, lasso_pg_solve, sp_solve
 from .results import SolverResult
 from .synth import (
@@ -162,8 +163,8 @@ class ExperimentPlan:
     `sigma_grid` holds noise levels (standard deviations, or exact noise
     2-norms when `noise_mode` is "fixed-norm"); `tau_grid` holds l1
     budgets as multiples of each instance's ||alpha*||_1.  The grid is
-    the cross product of the two.  The counts and the seed are checked
-    by `numerics.check_count`, the seed as in `ProblemSpec`.
+    the cross product of the two.  The counts and the seed go through
+    `numerics.check_count`, each `tau_grid` entry `numerics.check_budget`.
     """
 
     experiment: str = "custom"
@@ -188,9 +189,8 @@ class ExperimentPlan:
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} must be nonempty without repeats, got {values}")
-        # written so that NaN fails
-        if not all(t > 0 for t in self.tau_grid):
-            raise ValueError(f"tau_grid entries must be positive, got {self.tau_grid}")
+        for tau_mult in self.tau_grid:
+            check_budget("tau_grid", tau_mult, positive=True, finite=True)
         check_count("trials", self.trials)
         check_count("workers", self.workers)
         check_count("seed", self.seed, 0, SEED_MAX)
@@ -435,6 +435,7 @@ def solve_file(
 
     Returns a summary dict (residual, sparsity, l1 norm, iterations).
     """
+    check_budget("tau", tau, positive=True)
     phi = load_matrix_auto(matrix_path)
     f = read_vector(observation_path)
     if solver in ("clash", "lasso-pg", "game-l2", "game-linf") and not np.isfinite(tau):

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import as_vector, check_count
+
 SQUARED_EUCLIDEAN = "squared-euclidean"
 ENTROPY = "entropy"
 
@@ -41,8 +43,7 @@ class BregmanGeometry:
     def __post_init__(self):
         if self.kind not in (SQUARED_EUCLIDEAN, ENTROPY):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        check_count("dim", self.dim)
 
 
 def euclidean_geometry(dim: int) -> BregmanGeometry:
@@ -52,13 +53,12 @@ def euclidean_geometry(dim: int) -> BregmanGeometry:
 
 def lifted_entropy_geometry(m: int) -> BregmanGeometry:
     """The entropy potential on the lifted simplex for an l1 ball in R^m."""
+    check_count("m", m)
     return BregmanGeometry(ENTROPY, 2 * m + 1)
 
 
 def _check_point(g: BregmanGeometry, x, name: str, positive: bool = True) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.dim,):
-        raise ValueError(f"{name} has shape {x.shape}, geometry dimension is {g.dim}")
+    x = as_vector(x, name, g.dim)
     if positive and g.kind == ENTROPY and np.any(x <= 0):
         raise ValueError(f"{name} must be strictly positive for {g.kind}")
     return x
@@ -91,7 +91,7 @@ def grad_map(g: BregmanGeometry, p: np.ndarray) -> np.ndarray:
 def grad_map_inverse(g: BregmanGeometry, y: np.ndarray) -> np.ndarray:
     """Inverse of `grad_map`: y / 2 for squared Euclidean, exp(y / 2) for
     entropy."""
-    y = _check_point(g, y, "gradient", positive=False) / 2.0
+    y = _check_point(g, y, "y", positive=False) / 2.0
     return y if g.kind == SQUARED_EUCLIDEAN else np.exp(y)
 
 

@@ -14,8 +14,8 @@ The average of the T primal plays is therefore T-sparse and l1-feasible
 by construction, and its residual is within an additive D*G / (2 sqrt(T))
 of the best l1-feasible residual (`game_solve`).  `dantzig_game_solve`
 plays the q = inf game on (Phi^T Phi, Phi^T f), and both forms share the
-round loop `_play`.  Both raise ValueError unless Phi and f are finite
-and f has one entry per row of Phi (`numerics.as_system`).
+round loop `_play`.  Inputs are checked by `numerics.as_system`,
+`numerics.as_vector` and `numerics.check_budget`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import simplex_to_dual, uniform_simplex_weights
-from .numerics import as_system, check_count, lp_norm
+from .numerics import as_system, as_vector, check_budget, check_count, lp_norm
 from .projections import clip_into_l1_ball
 from .results import SolverResult
 
@@ -45,8 +45,7 @@ class GameConfig:
     def __post_init__(self):
         check_count("rounds", self.rounds)
         _infinite_q(self.q)  # raises unless q is 2 or inf
-        if not 0 < self.tau < np.inf:
-            raise ValueError("tau must be positive and finite")
+        check_budget("tau", self.tau, positive=True, finite=True)
 
 
 @dataclass
@@ -62,11 +61,9 @@ class GameCertificate:
 
 
 def loss(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray, f: np.ndarray) -> float:
-    """The bilinear loss <P, Phi alpha - f>."""
-    p = np.asarray(p, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if p.shape[0] != phi.shape[0] or alpha.shape[0] != phi.shape[1]:
-        raise ValueError("dimension mismatch between dual point, matrix, and play")
+    """The bilinear loss <P, Phi alpha - f>, P of M entries and alpha of N."""
+    phi, f = as_system(phi, f)
+    p, alpha = as_vector(p, "p", phi.shape[0]), as_vector(alpha, "alpha", phi.shape[1])
     return float(p @ (phi @ alpha - f))
 
 
@@ -80,7 +77,8 @@ def holder_optimal_dual(
     maximal-magnitude residual coordinate (ties -> lowest index).  A zero
     residual returns the zero dual point (any P is optimal, loss 0).
     """
-    r = np.asarray(phi, dtype=np.float64) @ alpha - f
+    phi, f = as_system(phi, f)
+    r = phi @ as_vector(alpha, "alpha", phi.shape[1]) - f
     if not _infinite_q(q):
         nrm = float(np.sqrt(r @ r))
         return np.zeros_like(r) if nrm == 0.0 else r / nrm
@@ -101,9 +99,9 @@ def sparse_best_response(
     largest-magnitude index i (ties -> lowest index); its loss is
     -tau * ||Phi^T P||_inf + <P, -f>.  r = 0 returns the zero play.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    i, sign = _best_index(np.asarray(phi, dtype=np.float64).T @ p)
+    phi, f = as_system(phi, f)
+    check_budget("tau", tau, positive=True, finite=True)
+    i, sign = _best_index(phi.T @ as_vector(p, "p", phi.shape[0]))
     out = np.zeros(phi.shape[1])
     if sign != 0.0:
         out[i] = -tau * sign
@@ -130,10 +128,11 @@ def max_update(p: np.ndarray, residual: np.ndarray, eta: float, q: float) -> np.
     renormalized to sum to one.
     """
     lifted = _infinite_q(q)
-    p, residual = np.asarray(p, dtype=np.float64), np.asarray(residual, dtype=np.float64)
+    check_budget("eta", eta, finite=True)
+    p, residual = as_vector(p, "p"), as_vector(residual, "residual")
     m = residual.size
-    if residual.shape != (m,) or p.shape != (2 * m + 1 if lifted else m,):
-        raise ValueError(f"P {p.shape} does not fit a residual {residual.shape} at q = {q}")
+    if p.size != (2 * m + 1 if lifted else m):
+        raise ValueError(f"p of {p.size} entries does not fit a residual of {m} at q = {q}")
     if lifted and np.any(p <= 0):
         raise ValueError("lifted weights must be strictly positive")
     return _dual_step(p, residual, eta / 2.0, lifted)
@@ -176,13 +175,15 @@ def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
     of ||tau phi_j -/+ f||_2^2 is tau^2 ||phi_j||^2 + 2 tau |phi_j^T f| +
     ||f||^2, a sum of nonnegative terms, so the bound takes the column
     norms and one product Phi^T f, and forms no M x N temporary.
-    ValueError for a negative or NaN tau.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    phi, f = as_system(phi, f)
+    check_budget("tau", tau, finite=True)
+    return _loss_bound(phi, f, tau, q)
+
+
+def _loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
+    """`loss_bound` on a system and a tau that are already checked."""
     infinite = _infinite_q(q)
-    if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return lp_norm(f, q)
     if infinite:
@@ -220,7 +221,7 @@ def game_solve(
         apply=lambda a: phi @ a,
         f=f,
         n=phi.shape[1],
-        g_bound=loss_bound(phi, f, cfg.tau, cfg.q),
+        g_bound=_loss_bound(phi, f, cfg.tau, cfg.q),
         cfg=cfg,
     )
 

@@ -16,30 +16,32 @@ MAGIC = b"SPD1"
 SEED_MAX = 2**64 - 1
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a 2-d float64 array with finite entries."""
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """`a` as a finite 2-d float64 array; ValueError naming it otherwise."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+        raise ValueError(f"{name}: expected a 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return m
 
 
-def as_vector(x) -> np.ndarray:
-    """Validate and return `x` as a 1-d float64 array with finite entries."""
+def as_vector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """`x` as a finite 1-d float64 array, of `size` entries if given, or
+    ValueError naming it."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+        raise ValueError(f"{name}: expected a 1-d vector, got shape {v.shape}")
+    if size is not None and v.size != size:
+        raise ValueError(f"{name} has {v.size} entries, expected {size}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return v
 
 
 def as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a linear system: Phi as a finite matrix and f as a finite
-    vector with one entry per row of Phi."""
-    phi, f = as_matrix(phi), as_vector(f)
+    """Phi as a finite matrix and f as a finite vector of one entry per row."""
+    phi, f = as_matrix(phi, "Phi"), as_vector(f, "f")
     if f.size != phi.shape[0]:
         raise ValueError(f"dimension mismatch: len(f) = {f.size}, Phi has {phi.shape[0]} rows")
     return phi, f
@@ -56,6 +58,17 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> None
         raise ValueError(f"{name} must lie in [{low}, 2^{high.bit_length()}), got {value}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_budget(name: str, value, positive: bool = False, finite: bool = False) -> None:
+    """ValueError naming a budget that is not an int, float or numpy number
+    (a bool is none), or is NaN, negative, 0 if `positive`, inf if `finite`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    # written so that NaN fails
+    if not ((value > 0 if positive else value >= 0) and (value < np.inf or not finite)):
+        rule = "must be positive" if positive else "must be >= 0"
+        raise ValueError(f"{name} {rule}{' and finite' if finite else ''}, got {value}")
 
 
 def as_index_set(support, n: int) -> np.ndarray:
@@ -78,10 +91,8 @@ def as_index_set(support, n: int) -> np.ndarray:
 
 def lp_norm(x: np.ndarray, p: float) -> float:
     """The lp norm of a vector for p in [1, inf]; p = inf is the max magnitude.
-    ValueError for an x that is not 1-d, and for p below 1 or NaN."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"lp_norm takes a 1-d vector, got shape {x.shape}")
+    ValueError for an x that `as_vector` rejects, and for p below 1 or NaN."""
+    x = as_vector(x, "x")
     if not p >= 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     if np.isinf(p):
@@ -108,32 +119,26 @@ def independent(schur: np.ndarray, gram_diag: np.ndarray) -> bool:
     return not np.any(pivots <= np.sqrt(np.finfo(np.float64).eps) * gram_diag)
 
 
-def restricted_lsq(a: np.ndarray, f: np.ndarray, support) -> np.ndarray:
+def restricted_lsq(phi: np.ndarray, f: np.ndarray, support) -> np.ndarray:
     """Least squares restricted to a column support set.
 
-    Returns the length-N vector v minimizing ||f - A v||_2^2 subject to
+    Returns the length-N vector v minimizing ||f - Phi v||_2^2 subject to
     supp(v) being a subset of `support`; coordinates off the support are
     exactly zero.  The restricted problem is solved directly: on the
-    normal equations G x = A_S^T f, G = A_S^T A_S, when `independent`
-    accepts the columns of A_S, and otherwise, when they are numerically
-    dependent, by `np.linalg.lstsq` on A_S, whose minimum-norm answer is
-    also a minimizer.
+    normal equations G x = A_S^T f, G = A_S^T A_S, A_S = Phi_S, when
+    `independent` accepts the columns of A_S, and otherwise, when they
+    are numerically dependent, by `np.linalg.lstsq` on A_S, whose
+    minimum-norm answer is also a minimizer.
 
-    Parameters
-    ----------
-    a : (M, N) matrix with finite entries
-    f : (M,) finite observation vector
-    support : sorted distinct indices into columns of `a`; empty -> zeros
-
-    Raises ValueError for a non-finite `a` or `f`, a length of `f` other
-    than M, a bad support, or a support of more than M columns.
+    Raises ValueError for a system that `as_system` rejects, a bad
+    support (`as_index_set`), or a support of more than M columns.
     """
-    a, f = as_system(a, f)
-    m, n = a.shape
+    phi, f = as_system(phi, f)
+    m, n = phi.shape
     s = as_index_set(support, n)
     if s.size > m:
         raise ValueError(f"support size {s.size} exceeds number of rows {m}")
-    return _restricted_lsq(a, f, s)
+    return _restricted_lsq(phi, f, s)
 
 
 def _restricted_lsq(a: np.ndarray, f: np.ndarray, s: np.ndarray) -> np.ndarray:

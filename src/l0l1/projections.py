@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_count
+from .numerics import as_vector, check_budget, check_count
 
 
 @dataclass(frozen=True)
@@ -23,18 +23,17 @@ class ConstraintSet:
 
     def __post_init__(self):
         check_count("sparsity budget k", self.k)
-        if not self.tau >= 0:
-            raise ValueError(f"l1 radius tau must be >= 0, got {self.tau}")
+        check_budget("tau", self.tau)
 
 
 def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of w, zeroing the rest.
 
     This is the Euclidean projection onto {x : ||x||_0 <= k}.  Ties are
-    broken toward the lowest index; k >= len(w) returns w unchanged.  A k
-    that is not an integer, or is below 1, raises ValueError.
+    broken toward the lowest index; k >= len(w) returns w unchanged.  w
+    is checked by `as_vector`, and k by `check_count`.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = as_vector(w, "w")
     check_count("k", k)
     keep = top_k_support(w, k)
     out = np.zeros_like(w)
@@ -70,12 +69,11 @@ def l1_project(w: np.ndarray, tau: float) -> np.ndarray:
     If ||w||_1 <= tau the input is returned unchanged (as a copy).
     Otherwise magnitudes are soft-thresholded by the unique theta >= 0 that
     makes the l1 norm equal tau; theta is found exactly by the classic
-    sort-and-scan in O(n log n).  Raises ValueError if ||w||_1 is not
-    finite: a NaN or infinite entry, or a sum that overflows.
+    sort-and-scan in O(n log n).  w is checked by `as_vector`, tau by
+    `check_budget`, and a ||w||_1 that overflows raises ValueError.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    w = as_vector(w, "w")
+    check_budget("tau", tau)
     mags = np.abs(w)
     total = np.sum(mags)
     if not np.isfinite(total):
@@ -119,11 +117,9 @@ def project_k_tau(w: np.ndarray, c: ConstraintSet) -> np.ndarray:
     """Euclidean projection onto {x : ||x||_0 <= k and ||x||_1 <= tau}.
 
     Computed as hard thresholding to the top-k support followed by an l1
-    projection of the surviving entries.  This composition is validated
-    against an exhaustive-support oracle in the test suite rather than
-    assumed correct.
+    projection of the surviving entries; ValueError for k above len(w).
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = as_vector(w, "w")
     if c.k > w.size:
         raise ValueError(f"k={c.k} exceeds vector length {w.size}")
     kept = hard_threshold(w, c.k)

@@ -8,12 +8,10 @@
 * `iht_solve` - normalized iterative hard thresholding, a baseline.
 
 All top-k selections break magnitude ties toward the lowest index, so
-every solver is deterministic given its inputs.  Every solver rejects a
-non-finite Phi or f, an f whose length is not Phi's row count, and a Phi
-whose squared column norms overflow, with ValueError (`_as_system`), and
-solves at a power-of-two scale of f (`_unit_scale`).  The stop tests of
-SP, CLASH and IHT are relative, so scaling Phi by c scales their answer
-by 1/c.
+every solver is deterministic given its inputs.  Every solver checks
+its system by `_as_system` and solves at a power-of-two scale of f
+(`_unit_scale`).  The stop tests of SP, CLASH and IHT are relative, so
+scaling Phi by c scales their answer by 1/c.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _restricted_lsq, as_system, check_count, independent
+from .numerics import _restricted_lsq, as_system, as_vector, check_budget, check_count, independent
 from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
 from .results import SolverResult
 
@@ -66,8 +64,7 @@ class PursuitConfig:
 
     def __post_init__(self):
         check_count("sparsity", self.sparsity)
-        if not self.tau > 0:
-            raise ValueError("tau must be positive (use inf to disable)")
+        check_budget("tau", self.tau, positive=True)
 
 
 @dataclass
@@ -90,9 +87,8 @@ def _as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_sparsity(k: int, phi: np.ndarray) -> None:
-    """Reject a sparsity that is not an integer, below 1, or above
-    min(M, N): no more columns than Phi has, and no more than its rows,
-    the most a least-squares fit determines."""
+    """`check_count` on k, and ValueError above min(M, N): no more columns
+    than Phi has, nor than a least-squares fit on its rows determines."""
     check_count("sparsity", k)
     if k > min(phi.shape):
         m, n = phi.shape
@@ -738,15 +734,13 @@ def lasso_pg_solve(
     "degenerate", with no iteration, when tau = 0 or Phi = 0.  `tol` is
     absolute, so scaling Phi by c does not scale the answer by 1/c.  The
     history holds the residual 2-norm at x after each iteration, so it is
-    non-increasing.  Raises ValueError for tau < 0, a NaN or negative
-    `tol`, or `max_iter` below 1.  The solve runs at a power-of-two scale
+    non-increasing.  tau and `tol` are checked by `check_budget`, and
+    `max_iter` by `check_count`.  The solve runs at a power-of-two scale
     of f, tau and `tol` (`_unit_scale`).
     """
     phi, f = _as_system(phi, f)
-    if not tau >= 0:
-        raise ValueError("tau must be >= 0")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_budget("tau", tau)
+    check_budget("tol", tol)
     check_count("max_iter", max_iter)
     e, f, tau, tol = _unit_scale(f, tau, tol)
     n = phi.shape[1]
@@ -885,11 +879,15 @@ def contraction_check(
 ) -> ContractionReport:
     """Check the empirical envelope e_{i+1} <= rho * e_i + c1 * ||n||_2,
     with e_i = ||alpha_i - alpha_true||_2 over `trace`, the list of
-    iterates that `sp_solve` and `clash_solve` return.  Raises ValueError
-    if the trace has fewer than two iterates."""
+    iterates that `sp_solve` and `clash_solve` return (at least two); the
+    vectors go through `as_vector`, the budgets through `check_budget`."""
+    alpha_true = as_vector(alpha_true, "alpha_true")
+    for name, value in (("rho_bound", rho_bound), ("c1", c1), ("noise_norm", noise_norm)):
+        check_budget(name, value, finite=True)
     if len(trace) < 2:
         raise ValueError("trace has fewer than two iterates to check")
-    e = [float(np.sqrt(np.sum((it - alpha_true) ** 2))) for it in trace]
+    e = [float(np.sqrt(np.sum((as_vector(it, "trace", alpha_true.size) - alpha_true) ** 2)))
+         for it in trace]
     noise_term = c1 * noise_norm
     violations = [
         (i, e[i + 1], rho_bound * e[i] + noise_term)

@@ -36,7 +36,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .numerics import SEED_MAX, as_matrix, check_count, lp_norm, write_matrix, write_vector
+from .numerics import SEED_MAX, as_matrix, check_budget, check_count, lp_norm
+from .numerics import write_matrix, write_vector
 
 # purpose tags for stream addressing
 MATRIX_STREAM = 1
@@ -109,8 +110,8 @@ class ProblemSpec:
     noise 2-norm in "fixed-norm" mode.  `matrix_scaling` selects unit
     entry variance or 1/sqrt(M) entry standard deviation (the latter makes
     columns near unit norm, matching the near-isometry the recovery
-    guarantees presume).  `n`, `m`, `k` and `seed` are checked by
-    `numerics.check_count`, `seed` against SEED_MAX.
+    guarantees presume).  `n`, `m`, `k` and `seed` go through
+    `numerics.check_count`, and `sigma` through `numerics.check_budget`.
     """
 
     n: int
@@ -127,9 +128,7 @@ class ProblemSpec:
         check_count("seed", self.seed, 0, SEED_MAX)
         if not (1 <= self.k <= self.m <= self.n):
             raise ValueError(f"need 1 <= k <= M <= N, got k={self.k}, M={self.m}, N={self.n}")
-        # written so that NaN fails
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        check_budget("sigma", self.sigma, finite=True)
         if self.matrix_scaling not in (UNIT_VARIANCE, INV_SQRT_M):
             raise ValueError(f"unknown matrix scaling {self.matrix_scaling!r}")
         if self.noise_mode not in ("std", "fixed-norm"):
@@ -206,12 +205,11 @@ def rip_probe(
     Draws `trials` random s-sparse unit-q-norm vectors and returns the
     largest observed deviation |  ||phi a||_q - 1 |.  Because the probes
     are random rather than adversarial this is a LOWER bound on the true
-    constant, never a certificate.  Raises ValueError for a Phi that is
-    not a 2-d matrix with finite entries, for an `s` above N, and for an
-    `s`, `trials` or `seed` that `numerics.check_count` rejects (`seed`
-    against SEED_MAX).
+    constant, never a certificate.  Phi is checked by `numerics.as_matrix`,
+    `s`, `trials` and `seed` by `numerics.check_count`, and an `s` above N
+    raises ValueError.
     """
-    phi = as_matrix(phi)
+    phi = as_matrix(phi, "Phi")
     check_count("s", s)
     check_count("trials", trials)
     check_count("seed", seed, 0, SEED_MAX)

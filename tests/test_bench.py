@@ -127,6 +127,7 @@ class TestPlans:
             "k=101",
             "tau_grid=1,0",
             "tau_grid=nan",
+            "tau_grid=inf",
             "sigma_grid=nan",
             "sigma_grid=0,-0.1",
             "sigma_grid=0.01,inf",
@@ -351,6 +352,22 @@ class TestSolveFile:
                 str(tmp_path / "alpha.bin"),
                 k=1,
             )
+
+    @pytest.mark.parametrize("tau", [np.nan, -1.0, 0.0])
+    def test_bad_tau_raises_for_every_solver(self, tmp_path, tau):
+        # SP ignores tau, and it solved and wrote the file at nan and -1
+        write_matrix(tmp_path / "phi.bin", np.eye(3))
+        write_vector(tmp_path / "f.bin", np.ones(3))
+        with pytest.raises(ValueError, match="^tau must be positive"):
+            solve_file(
+                str(tmp_path / "phi.bin"),
+                str(tmp_path / "f.bin"),
+                "sp",
+                str(tmp_path / "alpha.bin"),
+                k=1,
+                tau=tau,
+            )
+        assert not (tmp_path / "alpha.bin").exists()
 
     def test_dimension_mismatch_raises(self, tmp_path):
         write_matrix(tmp_path / "phi.bin", np.eye(3))

@@ -13,6 +13,7 @@ from l0l1.bregman import (
     simplex_to_dual,
     uniform_simplex_weights,
 )
+from l0l1.game import max_update
 
 
 def random_simplex_point(rng, dim):
@@ -114,6 +115,25 @@ class TestProjection:
     def test_rejects_bad_points(self, g, q):
         with pytest.raises(ValueError):
             bregman_project(g, q)
+
+
+class TestGameStep:
+    @pytest.mark.parametrize("q", [2, np.inf])
+    def test_max_update_is_the_mirror_step_of_the_maps(self, q):
+        # the game steps in closed form; the maps and the projection, term
+        # by term, reach the same point, so their properties are the step's
+        rng = np.random.default_rng(8)
+        m = 6
+        for _ in range(50):
+            r, eta = rng.normal(size=m), float(rng.uniform(0.05, 3.0))
+            if q == 2:
+                # most of these steps leave the unit ball, the rest stay inside
+                g, p, lifted = euclidean_geometry(m), 0.3 * rng.normal(size=m), r
+            else:
+                g, p = lifted_entropy_geometry(m), random_simplex_point(rng, 2 * m + 1)
+                lifted = np.concatenate((r, -r, [0.0]))
+            mirror = bregman_project(g, grad_map_inverse(g, grad_map(g, p) + eta * lifted))
+            np.testing.assert_allclose(max_update(p, r, eta, q), mirror, rtol=0, atol=1e-15)
 
 
 class TestLift:

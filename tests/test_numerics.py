@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l0l1.bench import ExperimentPlan
+from l0l1.bregman import BregmanGeometry, euclidean_geometry, lifted_entropy_geometry
 from l0l1.game import GameConfig
 from l0l1.numerics import (
     as_matrix,
     as_vector,
+    check_budget,
     lp_norm,
     load_matrix_auto,
     read_matrix,
@@ -114,6 +116,9 @@ COUNT_SITES = {
     "ConstraintSet.k": ("sparsity budget k", 1, lambda v: ConstraintSet(k=v, tau=1.0)),
     "hard_threshold.k": ("k", 1, lambda v: hard_threshold(np.ones(4), v)),
     "top_k_support.k": ("k", 0, lambda v: top_k_support(np.ones(4), v)),
+    "BregmanGeometry.dim": ("dim", 1, lambda v: BregmanGeometry("entropy", v)),
+    "euclidean_geometry.dim": ("dim", 1, lambda v: euclidean_geometry(v)),
+    "lifted_entropy_geometry.m": ("m", 1, lambda v: lifted_entropy_geometry(v)),
 }
 
 
@@ -139,6 +144,34 @@ class TestCountChecks:
             with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= {low}"):
                 call(low - 1)
             call(np.int64(low + 1))
+
+
+class TestBudgetCheck:
+    @pytest.mark.parametrize(
+        "value", [0, 0.5, np.float32(0.25), np.int64(3), np.float64(2.0), 10**400, np.inf]
+    )
+    def test_real_scalars_pass(self, value):
+        check_budget("tau", value)
+
+    @pytest.mark.parametrize(
+        "value, positive, finite, message",
+        [
+            (np.nan, False, False, "tau must be >= 0, got nan"),
+            (-np.inf, False, False, "tau must be >= 0, got -inf"),
+            (-0.5, False, False, "tau must be >= 0, got -0.5"),
+            (0.0, True, False, "tau must be positive, got 0.0"),
+            (np.inf, True, True, "tau must be positive and finite, got inf"),
+            (np.inf, False, True, "tau must be >= 0 and finite, got inf"),
+            (True, False, False, "tau must be a real number, got True"),
+            (np.True_, False, False, "tau must be a real number, got "),
+            ("1", False, False, "tau must be a real number, got '1'"),
+            (np.array([1.0]), False, False, "tau must be a real number, got "),
+            (1 + 0j, False, False, "tau must be a real number, got "),
+        ],
+    )
+    def test_rejects_with_one_wording(self, value, positive, finite, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            check_budget("tau", value, positive, finite)
 
 
 class TestRestrictedLsq:
