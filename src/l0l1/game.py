@@ -316,6 +316,8 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
 
     regret_bound = diameter * g_bound / (2.0 * np.sqrt(t_rounds))
 
+    if not np.isfinite(g_bound):
+        raise ValueError("the loss bound G overflows float64: scale the system or tau down")
     if g_bound == 0.0:
         # f = 0 and A = 0: every feasible play is optimal, return zero
         res = SolverResult(np.zeros(n), 0.0, 0.0, [], 0, "degenerate: zero loss bound")

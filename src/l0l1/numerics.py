@@ -2,12 +2,13 @@
 
 Everything in here operates on plain float64 numpy arrays: matrices are
 2-d row-major arrays, vectors are 1-d arrays, and support sets are sorted
-1-d integer index arrays.  All functions are pure; none mutate their
-arguments, so they are safe to call concurrently from parallel trials.
+1-d integer index arrays.  The kernels are pure and safe to call from
+parallel trials; the file functions at the end read and write files.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -40,10 +41,13 @@ def as_vector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
 
 
 def as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
-    """Phi as a finite matrix and f as a finite vector of one entry per row."""
+    """Phi as a finite matrix whose squared column norms fit in float64, and
+    f as a finite vector of one entry per row; ValueError otherwise."""
     phi, f = as_matrix(phi, "Phi"), as_vector(f, "f")
     if f.size != phi.shape[0]:
         raise ValueError(f"dimension mismatch: len(f) = {f.size}, Phi has {phi.shape[0]} rows")
+    if not np.all(np.isfinite(np.einsum("ij,ij->j", phi, phi))):
+        raise ValueError("Phi's squared column norms overflow float64")
     return phi, f
 
 
@@ -176,16 +180,19 @@ def write_vector(path, x: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by `write_matrix`."""
+    """Read a matrix written by `write_matrix`; ValueError for a bad magic
+    or a file shorter than its header claims, before reading the payload."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = fh.read(8 * rows * cols)
-    if len(data) != 8 * rows * cols:
-        raise ValueError(f"{path}: truncated payload for {rows}x{cols} matrix")
-    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"{path}: truncated header")
+        rows, cols = struct.unpack("<QQ", header)
+        if 8 * rows * cols > os.fstat(fh.fileno()).st_size - 20:
+            raise ValueError(f"{path}: truncated payload for {rows}x{cols} matrix")
+        return np.frombuffer(fh.read(8 * rows * cols), "<f8").astype(np.float64).reshape(rows, cols)
 
 
 def read_vector(path) -> np.ndarray:

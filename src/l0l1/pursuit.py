@@ -9,7 +9,7 @@
 
 All top-k selections break magnitude ties toward the lowest index, so
 every solver is deterministic given its inputs.  Every solver checks
-its system by `_as_system` and solves at a power-of-two scale of f
+its system by `numerics.as_system` and solves at a power-of-two scale of f
 (`_unit_scale`).  The stop tests of SP, CLASH and IHT are relative, so
 scaling Phi by c scales their answer by 1/c.
 """
@@ -75,15 +75,6 @@ class ContractionReport:
     rho: float
     noise_term: float
     violations: list[tuple[int, float, float]]
-
-
-def _as_system(phi, f) -> tuple[np.ndarray, np.ndarray]:
-    """`numerics.as_system`, and ValueError if a squared column norm of Phi
-    overflows: the products the solvers form would hold inf or NaN."""
-    phi, f = as_system(phi, f)
-    if not np.all(np.isfinite(np.einsum("ij,ij->j", phi, phi))):
-        raise ValueError("Phi's squared column norms overflow float64")
-    return phi, f
 
 
 def _check_sparsity(k: int, phi: np.ndarray) -> None:
@@ -660,7 +651,7 @@ def _pursue(
     Stops (2) and (4) are heuristics: a later member may end lower.  The
     solve runs at a power-of-two scale of f and tau (`_unit_scale`).
     """
-    phi, f = _as_system(phi, f)
+    phi, f = as_system(phi, f)
     _check_sparsity(k, phi)
     e, f, tau = _unit_scale(f, tau)
     n = phi.shape[1]
@@ -738,7 +729,7 @@ def lasso_pg_solve(
     `max_iter` by `check_count`.  The solve runs at a power-of-two scale
     of f, tau and `tol` (`_unit_scale`).
     """
-    phi, f = _as_system(phi, f)
+    phi, f = as_system(phi, f)
     check_budget("tau", tau)
     check_budget("tol", tol)
     check_count("max_iter", max_iter)
@@ -817,7 +808,7 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     product with all of Phi, for g.  The returned residual norm is
     recomputed from the returned a.
     """
-    phi, f = _as_system(phi, f)
+    phi, f = as_system(phi, f)
     _check_sparsity(k, phi)
     e, f = _unit_scale(f)
     x = np.zeros(phi.shape[1])

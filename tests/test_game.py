@@ -349,6 +349,19 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             self.SOLVERS[solver](phi, f)
 
+    @pytest.mark.parametrize("solve, scale, tau", [
+        (game_solve, 1e200, 2e200),
+        (dantzig_game_solve, 1.0, 1.5e308),
+    ])
+    def test_overflowing_loss_bound_rejected(self, solve, scale, tau):
+        # with G = inf the step 2D/(G sqrt T) was 0: the run reported
+        # "completed 20 rounds" with alpha = 0 and an infinite residual
+        rng = np.random.default_rng(12)
+        phi, f = rng.normal(size=(20, 40)) / np.sqrt(20), rng.normal(size=20)
+        # numpy warns as the bound's products overflow
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="loss bound"):
+            solve(phi, scale * f, GameConfig(rounds=20, tau=tau))
+
 
 class TestGameSolve:
     def _instance(self, seed=0, m=20, n=50, k=4):

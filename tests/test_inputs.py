@@ -2,8 +2,9 @@
 
 One row per callable gives a valid call.  Each array argument is fed a
 NaN, +inf, -inf, a wrong length (where another argument fixes it) and a
-wrong ndim; each budget argument NaN, -1, True, "1", and +inf where it
-must be finite.  Every case must raise ValueError naming the argument.
+wrong ndim, and a system's Phi is scaled so that its squared column
+norms overflow; each budget argument NaN, -1, True, "1", and +inf where
+it must be finite.  Every case must raise ValueError naming the argument.
 """
 
 import re
@@ -148,6 +149,7 @@ ARRAY_DEFECTS = {
     "-inf": poisoned(-np.inf),
     "wrong length": lambda x: x[:-1],
     "wrong ndim": lambda x: x[0] if x.ndim == 2 else x[None],
+    "overflowing column norms": lambda x: 1e155 * x,
 }
 
 
@@ -155,8 +157,12 @@ def array_cases():
     for row_name, row in ROWS.items():
         for arg in row.sized + row.free:
             for defect in ARRAY_DEFECTS:
-                if defect != "wrong length" or arg in row.sized:
-                    yield pytest.param(row_name, arg, defect, id=f"{row_name}-{arg}-{defect}")
+                if defect == "wrong length" and arg not in row.sized:
+                    continue
+                # only the Phi of a system: rip_probe's takes no f
+                if defect == "overflowing column norms" and not (arg == "phi" and arg in row.sized):
+                    continue
+                yield pytest.param(row_name, arg, defect, id=f"{row_name}-{arg}-{defect}")
 
 
 def budget_cases():

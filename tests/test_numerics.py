@@ -1,4 +1,5 @@
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -76,6 +77,12 @@ class TestLpNorm:
 
     def test_linf(self):
         assert lp_norm(np.array([3.0, -4.0]), np.inf) == 4.0
+
+    def test_general_p(self):
+        # the branch `l0l1 rip --q 3` reaches
+        np.testing.assert_allclose(
+            lp_norm(np.array([3.0, -4.0]), 3), np.linalg.norm([3.0, -4.0], 3), rtol=1e-15
+        )
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
@@ -330,6 +337,16 @@ class TestFileFormats:
         path = tmp_path / "short.bin"
         write_matrix(path, np.ones((2, 3)))
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            read_matrix(path)
+
+    # struct.error escaped from a short header's unpack, and OverflowError
+    # from the read of a claimed 2^62 x 8 payload
+    @pytest.mark.parametrize("header", [b"\x00" * 3, struct.pack("<QQ", 2**62, 8)],
+                             ids=["short header", "2^62 rows"])
+    def test_header_beyond_the_file_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"SPD1" + header)
         with pytest.raises(ValueError, match="truncated"):
             read_matrix(path)
 

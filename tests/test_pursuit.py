@@ -1563,6 +1563,13 @@ class TestContractionCheck:
             passed += report.passed
         assert passed == 5
 
+    def test_violation_names_the_step_and_both_sides(self):
+        a = np.array([3.0, 4.0])
+        report = contraction_check([2 * a, 3 * a], np.zeros(2), 0.9, 0.0, 0.0)
+        assert not report.passed
+        # e = [10, 15]: 15 > 0.9 * 10 at step 0
+        assert report.violations == [(0, 15.0, 9.0)]
+
     def test_single_iterate_trace_rejected(self):
         # one iterate gives no step e_i -> e_{i+1} to check
         with pytest.raises(ValueError, match="fewer than two iterates"):
