@@ -1,27 +1,19 @@
 """Monte Carlo benchmark harness and command-line interface.
 
-Three preset experiments reproduce the reference studies at desk scale
-(hours shrunk to minutes by cutting trial counts, never dimensions):
+Three preset experiments (`_PRESETS`) reproduce the reference studies
+at desk scale, by cutting trial counts, never dimensions:
+``dantzig-noise`` (the Dantzig-form game vs. Lasso and subspace pursuit
+over a noise grid), ``noise-resilience`` (the joint pursuit vs. Lasso
+and subspace pursuit over a wide noise grid) and ``tau-sweep`` (recovery
+error as the l1 budget sweeps multiples of ||alpha*||_1).
 
-* ``dantzig-noise``   - Dantzig-form game solver vs. projected-gradient
-  Lasso and subspace pursuit over a log-spaced noise grid
-  (N=1000, M=200, k=20).
-* ``noise-resilience`` - joint-constraint pursuit vs. Lasso and subspace
-  pursuit over a wide noise grid (N=1000, M=305, k=115).
-* ``tau-sweep``       - recovery error as the l1 budget sweeps multiples
-  of ||alpha*||_1 (N=500, M=160, fixed-norm noise).
-
-Determinism: each trial draws its instance from a seed derived from the
-master seed and the trial index alone, so every grid point sees the same
-instances (common random numbers) and reruns are bit-identical.  A trial
-is one task: its grid points run back to back, so they share the one
-measurement matrix `synth.generate` keeps.  Trials may fan out to worker
-processes; records are merged in (trial, grid point, solver) order
-before writing, so the CSV bytes are independent of the worker count.
-Wall-clock timings are inherently non-deterministic and therefore go to
-a ``.timing.csv`` sidecar, never the main CSV.
-
-Floats are written with 17 significant digits for lossless round-trips.
+Each trial draws its instance from a seed derived from the master seed
+and the trial index alone, so every grid point sees the same instances
+and reruns are bit-identical.  A trial's grid points run back to back
+and share the matrix `synth.generate` keeps.  Records are merged in
+(trial, grid point, solver) order, so the CSV bytes do not depend on the
+worker count; wall times, which do vary, go to a ``.timing.csv``
+sidecar.  Floats are written with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -300,15 +292,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _map_in_workers(fn, tasks: list, workers: int) -> list:
-    """`[fn(t) for t in tasks]` on `workers` fresh processes, each with its
-    BLAS pinned to one thread.
-
-    Workers are spawned, not forked, so they load numpy anew and read the
-    pins from their environment; forked workers would inherit the caller's
-    multithreaded BLAS and oversubscribe the cores.  A spawned worker
-    imports the caller's main module again, so scripts must guard their
-    top-level work with ``if __name__ == "__main__":``.  The caller's
-    environment is pinned only while the pool lives and restored after.
+    """`[fn(t) for t in tasks]` on `workers` spawned processes, with BLAS
+    pinned to one thread in the caller's environment while the pool lives.
+    Spawned workers load numpy anew and read the pins, where forked ones
+    would inherit the caller's multithreaded BLAS.  They import the caller's
+    main module again, so a script must guard its top-level work with
+    ``if __name__ == "__main__":``.
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
@@ -349,12 +338,9 @@ def summarize_records(records: list[TrialRecord]) -> list[tuple]:
 
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Run a plan; write the records CSV, the median summary CSV, the
-    ``.meta`` provenance file, and the timing sidecar.
-
-    Returns a dict with the output paths and the summary rows.
-
-    With ``plan.workers > 1`` the trials run in spawned processes; see
-    `_map_in_workers` for the guard this asks of a calling script.
+    ``.meta`` provenance file and the timing sidecar, and return a dict of
+    the output paths and the summary rows.  With ``plan.workers > 1`` the
+    trials run in spawned processes (`_map_in_workers`).
     """
     run_trial = partial(_run_trial, plan)
     trials = list(range(plan.trials))

@@ -1,23 +1,17 @@
-"""Bregman distances, gradient maps and Bregman projections for the two
-geometries the game's dual player plays in, each with its own feasible
-set and a scale fixed by its kind:
+"""Bregman distances, gradient maps and projections of the two
+geometries the game's dual player plays in, each with the scale its
+kind fixes:
 
 * squared Euclidean, scale 1, on the unit 2-ball in R^dim (dual exponent
-  p = 2), so the distance lower bound B(P, Q) >= ||P - Q||_2^2 holds with
-  equality, and
-* entropy, scale 2, on the probability simplex in R^dim, so Pinsker's
-  inequality gives B(P, Q) >= ||P - Q||_1^2.  The game lifts the l1 unit
-  ball (dual exponent p = 1) onto it.
+  p = 2), where B(P, Q) = ||P - Q||_2^2, and
+* entropy, scale 2, on the probability simplex in R^dim, where Pinsker's
+  inequality gives B(P, Q) >= ||P - Q||_1^2.  The game lifts the unit l1
+  ball of R^M (dual exponent p = 1) onto it as 2M + 1 nonnegative weights
+  summing to one: positive parts, negative parts and a slack, encoding
+  P_i = w_i - w_{M+i}.
 
-The l1 ball {P in R^M : ||P||_1 <= 1} is represented by 2M + 1 nonnegative
-weights summing to one: positive parts, negative parts, and one slack
-coordinate.  The encoded point is P_i = w_i - w_{M+i}.
-
-The game steps in closed form (`game.max_update`): at p = 2 the gradient
-map and its inverse cancel to an additive step followed by radial
-shrinking, and at p = 1 to multiplicative weights followed by
-renormalization, the entropy projection onto the simplex.  The maps and
-projections below are those steps written term by term.
+`game.max_update` takes the step these maps and projections make, in
+closed form.
 """
 
 from __future__ import annotations
@@ -65,15 +59,9 @@ def _check_point(g: BregmanGeometry, x, name: str, positive: bool = True) -> np.
 
 
 def bregman_distance(g: BregmanGeometry, p: np.ndarray, q: np.ndarray) -> float:
-    """B_R(P, Q) = R(P) - R(Q) - <P - Q, grad R(Q)>, in closed form.
-
-    Closed forms:
-
-    * squared Euclidean:  ||P - Q||_2^2
-    * entropy:            2 (sum_i P_i log(P_i / Q_i) - sum_i (P_i - Q_i))
-
-    Entropy requires strictly positive entries.
-    """
+    """B_R(P, Q) = R(P) - R(Q) - <P - Q, grad R(Q)>: ||P - Q||_2^2 for
+    squared Euclidean, and 2 (sum_i P_i log(P_i / Q_i) - sum_i (P_i - Q_i))
+    for entropy, which requires strictly positive entries."""
     p = _check_point(g, p, "P")
     q = _check_point(g, q, "Q")
     if g.kind == SQUARED_EUCLIDEAN:

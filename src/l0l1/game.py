@@ -1,20 +1,16 @@
-"""Primal-dual game solver for sparse approximation in the lq norm.
-
-The constrained residual-minimization problem
+"""Primal-dual game solver for sparse approximation in the lq norm,
+q in {2, inf}:
 
     minimize ||Phi a - f||_q  over  ||a||_0 <= k, ||a||_1 <= tau
 
-is recast as a two-player zero-sum game with the bilinear loss
-L(P, a) = <P, Phi a - f> played between a dual player choosing P in the
-unit lp ball (p = q / (q - 1)) and a primal player choosing a in the l1
-ball of radius tau.  Each round the primal player answers the current P
-with an exactly 1-sparse best response (`sparse_best_response`), and the
-dual player takes one step of mirror ascent on the loss (`max_update`).
-The average of the T primal plays is therefore T-sparse and l1-feasible
-by construction, and its residual is within an additive D*G / (2 sqrt(T))
-of the best l1-feasible residual (`game_solve`).  `dantzig_game_solve`
-plays the q = inf game on (Phi^T Phi, Phi^T f), and both forms share the
-round loop `_play`.  Inputs are checked by `numerics.as_system`,
+is played as a zero-sum game with the bilinear loss L(P, a) =
+<P, Phi a - f> between a dual player on the unit lp ball
+(p = q / (q - 1)) and a primal player on the l1 ball of radius tau.
+Each round the primal player answers P with an exactly 1-sparse best
+response (`sparse_best_response`) and the dual player takes a step of
+mirror ascent (`max_update`), so the average of T plays is T-sparse and
+l1-feasible, and its residual is within D*G / (2 sqrt(T)) of the best
+l1-feasible one.  Inputs are checked by `numerics.as_system`,
 `numerics.as_vector` and `numerics.check_budget`.
 """
 
@@ -33,9 +29,9 @@ from .results import SolverResult
 
 @dataclass
 class GameConfig:
-    """Solver settings: round count T, residual norm exponent q in {2, inf},
-    and finite l1 radius tau.  The dual step size is not settable: it is
-    2 D / (G sqrt(T)), from the certificate's diameter D and loss bound G.
+    """Round count T, residual norm exponent q in {2, inf}, and finite l1
+    radius tau.  The dual step size is not settable: it is 2 D / (G sqrt(T))
+    for the certificate's diameter D and loss bound G.
     """
 
     rounds: int
@@ -116,15 +112,11 @@ def _best_index(r: np.ndarray) -> tuple[int, float]:
 
 
 def max_update(p: np.ndarray, residual: np.ndarray, eta: float, q: float) -> np.ndarray:
-    """One mirror-ascent step of the dual player for the residual norm
-    exponent q, in closed form at rate eta / 2.
-
-    The step moves to the point Q with grad R(Q) = grad R(P) + eta *
-    residual and Bregman-projects Q back (`bregman`).  At q = 2, R =
-    ||P||_2^2 on the unit 2-ball, and the step is P + eta / 2 * residual,
-    shrunk radially when it leaves the ball.  At q = inf, R = 2 times
-    entropy on the lift of the unit 1-ball, `p` holds the 2M + 1 positive
-    weights, and the step is w * exp(eta / 2 * [residual; -residual; 0]),
+    """One mirror-ascent step of the dual player at rate eta / 2: the point
+    Q with grad R(Q) = grad R(P) + eta residual, Bregman-projected back
+    (`bregman`).  At q = 2 that is P + eta / 2 residual, shrunk radially
+    into the unit 2-ball.  At q = inf `p` holds the 2M + 1 positive lifted
+    weights w, and the step is w exp(eta / 2 [residual; -residual; 0]),
     renormalized to sum to one.
     """
     lifted = _infinite_q(q)
@@ -150,14 +142,10 @@ def _infinite_q(q: float) -> bool:
 def _dual_step(dual: np.ndarray, residual: np.ndarray, rate: float, lifted: bool) -> np.ndarray:
     """The step of `max_update` at `rate`, unchecked: multiplicative
     weights (Freund & Schapire 1999) when `lifted`, else the shrunk
-    Euclidean step.
-
-    In the game |r_i| <= G, so a lifted step scales a weight by at most
-    exp(D / sqrt(T)) and nothing overflows.  A weight that falls below
-    the normal range rounds to a subnormal or to 0, too small to move P;
-    no log is taken, so no floor is needed.
-    """
+    Euclidean step."""
     if lifted:
+        # |r_i| <= G in the game, so no factor exceeds exp(D / sqrt(T)); a
+        # weight that underflows is too small to move P, and no log is taken
         w = dual * np.exp(rate * np.concatenate((residual, -residual, [0.0])))
         return w / np.sum(w)
     q = dual + rate * residual
@@ -167,14 +155,9 @@ def _dual_step(dual: np.ndarray, residual: np.ndarray, rate: float, lifted: bool
 
 def loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
     """Exact maximum of ||Phi a - f||_q, q in {2, inf}, over 1-sparse
-    plays with ||a||_1 <= tau.
-
-    The objective is convex on each segment [-tau e_j, +tau e_j], so the
-    maximum over the set is attained at one of the 2N signed, tau-scaled
-    canonical vectors; tau = 0 leaves only a = 0.  For q = 2 the larger
-    of ||tau phi_j -/+ f||_2^2 is tau^2 ||phi_j||^2 + 2 tau |phi_j^T f| +
-    ||f||^2, a sum of nonnegative terms, so the bound takes the column
-    norms and one product Phi^T f, and forms no M x N temporary.
+    plays with ||a||_1 <= tau: the objective is convex on each segment
+    [-tau e_j, +tau e_j], so the maximum is at one of the 2N vectors
+    +-tau e_j, or a = 0 at tau = 0.
     """
     phi, f = as_system(phi, f)
     check_budget("tau", tau, finite=True)
@@ -188,6 +171,7 @@ def _loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
         return lp_norm(f, q)
     if infinite:
         return _linf_bound(np.max(np.abs(phi), axis=1), f, tau)
+    # the larger of ||tau phi_j -/+ f||^2, with no M x N temporary
     col_sq = np.einsum("ij,ij->j", phi, phi)
     cross = np.abs(phi.T @ f)
     return float(np.sqrt(np.max(tau * tau * col_sq + 2.0 * tau * cross + f @ f)))
@@ -195,24 +179,19 @@ def _loss_bound(phi: np.ndarray, f: np.ndarray, tau: float, q: float) -> float:
 
 def _linf_bound(row_max: np.ndarray, f: np.ndarray, tau: float) -> float:
     """max over j and both signs of ||tau A_j -/+ f||_inf, given
-    row_max[i] = max_j |A_ij|.
-
-    max(|a - b|, |a + b|) = |a| + |b|, and rounding keeps the identity and
-    is monotone, so this equals the maximum over the 2N candidates bit for
-    bit without forming them.
-    """
+    row_max[i] = max_j |A_ij|, equal bit for bit to the maximum over the 2N
+    candidates without forming them."""
+    # max(|a - b|, |a + b|) = |a| + |b|, kept by rounding, which is monotone
     return float(np.max(tau * row_max + np.abs(f)))
 
 
 def game_solve(
     phi: np.ndarray, f: np.ndarray, cfg: GameConfig
 ) -> tuple[SolverResult, GameCertificate]:
-    """Run T rounds of primal best response / dual ascent and average.
-
-    Output guarantees (by construction): ||alpha||_0 <= T and
-    ||alpha||_1 <= tau.  The certificate's diameter D is 1 for p = 2
-    started at zero and sqrt(2 ln(2M + 1)) for the p = 1 lift started
-    uniform.
+    """T rounds of primal best response and dual ascent (`_play`),
+    averaged: ||alpha||_0 <= T and ||alpha||_1 <= tau by construction.  The
+    certificate's diameter D is 1 for p = 2 started at zero and
+    sqrt(2 ln(2M + 1)) for the p = 1 lift started uniform.
     """
     phi, f = as_system(phi, f)
     return _play(
@@ -230,13 +209,11 @@ def dantzig_game_solve(
     phi: np.ndarray, f: np.ndarray, cfg: GameConfig
 ) -> tuple[SolverResult, GameCertificate]:
     """Dantzig-selector form: the q = inf game on (Phi^T Phi, Phi^T f).
-
-    Rounds apply G = Phi^T Phi as Phi^T (Phi p) and take its column i as
-    Phi^T phi_i.  The last M columns played are kept, no more memory than
-    Phi itself, so no N x N matrix is stored.  The loss bound reads only
-    the rows of G that pass a Cauchy-Schwarz screen (`_dantzig_bound`).
-    The certificate and residuals refer to the transformed system, i.e.
-    the achieved residual is ||Phi^T Phi alpha - Phi^T f||_inf.
+    Its certificate and residuals are those of the transformed system, so
+    the achieved residual is ||Phi^T Phi alpha - Phi^T f||_inf.  No N x N
+    matrix is stored: G = Phi^T Phi is applied as Phi^T (Phi p), only the
+    last M columns played are kept, and the loss bound reads only the rows
+    of G that `_dantzig_bound` screens in.
     """
     phi, f = as_system(phi, f)
     fg = phi.T @ f
@@ -258,24 +235,17 @@ def dantzig_game_solve(
 
 
 def _dantzig_bound(phi: np.ndarray, fg: np.ndarray, tau: float) -> float:
-    """`_linf_bound` of the row maxima of |G| for G = Phi^T Phi, reading
-    only the rows of G that can set it.
-
-    |G_ij| <= ||phi_i|| ||phi_j||, so row i's term tau max_j |G_ij| +
-    |fg_i| is at most tau ||phi_i|| max_j ||phi_j|| + |fg_i|, while the
-    largest term is at least max_i (tau G_ii + |fg_i|).  Each side is
-    widened by a margin of (2M + 16) eps, which covers Higham's gamma_M
-    bound on the rounding of every product of M terms here and of the
-    few operations after it (the model assumes no underflow).  A row
-    whose widened bound stays below the widened floor cannot hold the
-    maximum and is skipped; the rest are read exactly, from products of
-    Phi^T with blocks of their columns.  The result equals the bound
-    from every row of G as the same products compute it.
-    """
+    """`_linf_bound` of the row maxima of |G|, G = Phi^T Phi, reading only
+    the rows that pass a Cauchy-Schwarz screen, equal to the bound from
+    every row of G as the same products compute it."""
     m = phi.shape[0]
     col_sq = np.einsum("ij,ij->j", phi, phi)
     norms = np.sqrt(col_sq)
     afg = np.abs(fg)
+    # |G_ij| <= ||phi_i|| ||phi_j|| bounds row i's term, and the largest term
+    # is at least max_i (tau G_ii + |fg_i|).  Both sides are widened by
+    # (2M + 16) eps, which covers Higham's gamma_M bound on products of M
+    # terms and the few operations after them, assuming no underflow
     margin = (2 * m + 16) * np.finfo(np.float64).eps
     floor = np.max(tau * col_sq + afg) * (1.0 - margin)
     rows = np.flatnonzero((tau * norms * np.max(norms) + afg) * (1.0 + margin) >= floor)
@@ -291,16 +261,11 @@ def _dantzig_bound(phi: np.ndarray, fg: np.ndarray, tau: float) -> float:
 
 
 def _play(correlate, column, apply, f, n, g_bound, cfg):
-    """The round loop shared by both forms, on a matrix A of shape
-    (f.size, n) seen only through `correlate(p)` = A^T p, `column(i)` =
-    A[:, i] and, once at the end, `apply(a)` = A a.
-
-    A round answers P with the 1-sparse play -tau sign(r_i) e_i, whose
-    residual A play - f is the column lookup -tau sign(r_i) A[:, i] - f
-    (equal to the dense product, which only adds exact zeros), and whose
-    loss is <P, residual>.  The dual step is `max_update`'s, unchecked
-    (`_dual_step`).  So a round costs one correlation, one column and
-    O(M).
+    """The round loop of both forms, on a matrix A of shape (f.size, n)
+    seen only through `correlate(p)` = A^T p, `column(i)` = A[:, i] and,
+    once at the end, `apply(a)` = A a, so a round costs one correlation, one
+    column and O(M).  The dual step is `max_update`'s, unchecked
+    (`_dual_step`).
     """
     m = f.size
     t_rounds, q, tau = cfg.rounds, cfg.q, cfg.tau
@@ -333,6 +298,7 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
         p_t = decode(dual)
         i, sign = _best_index(correlate(p_t))
         if sign != 0.0:
+            # A play - f by a column lookup: the dense product adds only zeros
             residual_t = (-tau * sign) * column(i) - f
             play_counts[i] -= int(sign)
         else:

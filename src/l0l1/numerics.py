@@ -94,7 +94,8 @@ def as_index_set(support, n: int) -> np.ndarray:
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:
-    """The lp norm of a vector for p in [1, inf]; p = inf is the max magnitude.
+    """The lp norm of a vector for p in [1, inf]; p = inf is the max
+    magnitude, and at p = 2 the norm is finite whenever it fits in float64.
     ValueError for an x that `as_vector` rejects, and for p below 1 or NaN."""
     x = as_vector(x, "x")
     if not p >= 1:
@@ -102,7 +103,14 @@ def lp_norm(x: np.ndarray, p: float) -> float:
     if np.isinf(p):
         return float(np.max(np.abs(x))) if x.size else 0.0
     if p == 2:
-        return float(np.sqrt(np.sum(x * x)))
+        with np.errstate(over="ignore"):
+            sq = np.sum(x * x)
+            if (np.isinf(sq) or sq < np.finfo(np.float64).tiny) and np.any(x):
+                # outside the normal range: scale the peak into [1/2, 1) by
+                # a power of two, which is exact
+                e = np.frexp(np.max(np.abs(x)))[1]
+                return float(np.ldexp(np.sqrt(np.sum(np.ldexp(x, -e) ** 2)), e))
+        return float(np.sqrt(sq))
     if p == 1:
         return float(np.sum(np.abs(x)))
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
@@ -110,12 +118,10 @@ def lp_norm(x: np.ndarray, p: float) -> float:
 
 def independent(schur: np.ndarray, gram_diag: np.ndarray) -> bool:
     """Whether columns added to a Gram matrix G are numerically independent
-    of each other and of the ones before them, given `schur`, the Schur
-    complement of the earlier columns in G (G itself for no earlier ones),
-    and `gram_diag`, the G_jj of the added columns.  A column is dependent
-    when its Cholesky pivot, squared, is at most sqrt(eps) G_jj, or when
-    the factorization fails.
-    """
+    of each other and of the ones before them, given `schur`, their Schur
+    complement in G (G itself for no earlier ones), and `gram_diag`, their
+    G_jj: not when a squared Cholesky pivot is at most sqrt(eps) G_jj, or
+    the factorization fails."""
     try:
         pivots = np.diag(np.linalg.cholesky(schur)) ** 2
     except np.linalg.LinAlgError:
@@ -124,18 +130,11 @@ def independent(schur: np.ndarray, gram_diag: np.ndarray) -> bool:
 
 
 def restricted_lsq(phi: np.ndarray, f: np.ndarray, support) -> np.ndarray:
-    """Least squares restricted to a column support set.
-
-    Returns the length-N vector v minimizing ||f - Phi v||_2^2 subject to
-    supp(v) being a subset of `support`; coordinates off the support are
-    exactly zero.  The restricted problem is solved directly: on the
-    normal equations G x = A_S^T f, G = A_S^T A_S, A_S = Phi_S, when
-    `independent` accepts the columns of A_S, and otherwise, when they
-    are numerically dependent, by `np.linalg.lstsq` on A_S, whose
-    minimum-norm answer is also a minimizer.
-
-    Raises ValueError for a system that `as_system` rejects, a bad
-    support (`as_index_set`), or a support of more than M columns.
+    """The length-N minimizer v of ||f - Phi v||_2^2 with supp(v) in
+    `support`, exactly zero off it: the solve of the normal equations on
+    Phi_S when `independent` accepts its columns, else `np.linalg.lstsq`'s
+    minimum-norm answer.  ValueError for a system that `as_system` rejects,
+    a bad support (`as_index_set`), or a support of more than M columns.
     """
     phi, f = as_system(phi, f)
     m, n = phi.shape

@@ -27,12 +27,10 @@ class ConstraintSet:
 
 
 def hard_threshold(w: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries of w, zeroing the rest.
-
-    This is the Euclidean projection onto {x : ||x||_0 <= k}.  Ties are
-    broken toward the lowest index; k >= len(w) returns w unchanged.  w
-    is checked by `as_vector`, and k by `check_count`.
-    """
+    """The k largest-magnitude entries of w, the rest zeroed: the Euclidean
+    projection onto {x : ||x||_0 <= k}, ties broken toward the lowest index,
+    a copy of w for k >= len(w).  w goes through `as_vector`, k through
+    `check_count`."""
     w = as_vector(w, "w")
     check_count("k", k)
     keep = top_k_support(w, k)
@@ -64,14 +62,11 @@ def top_k_support(w: np.ndarray, k: int) -> np.ndarray:
 
 
 def l1_project(w: np.ndarray, tau: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of radius tau.
-
-    If ||w||_1 <= tau the input is returned unchanged (as a copy).
-    Otherwise magnitudes are soft-thresholded by the unique theta >= 0 that
-    makes the l1 norm equal tau; theta is found exactly by the classic
-    sort-and-scan in O(n log n).  w is checked by `as_vector`, tau by
-    `check_budget`, and a ||w||_1 that overflows raises ValueError.
-    """
+    """Euclidean projection onto the l1 ball of radius tau: a copy of w if
+    ||w||_1 <= tau, else w soft-thresholded by the theta >= 0 that makes its
+    l1 norm tau, found exactly by sort and scan in O(n log n).  w goes
+    through `as_vector`, tau through `check_budget`; ValueError if ||w||_1
+    overflows."""
     w = as_vector(w, "w")
     check_budget("tau", tau)
     mags = np.abs(w)
@@ -99,12 +94,9 @@ def l1_project(w: np.ndarray, tau: float) -> np.ndarray:
 
 
 def clip_into_l1_ball(x: np.ndarray, tau: float) -> np.ndarray:
-    """Rescale away the few ulps by which a vector on the l1 sphere of
-    radius tau may overshoot it, as summed by ``np.sum(np.abs(x))``.
-
-    Returns `x` itself when it is already feasible, a rescaled copy
-    otherwise.
-    """
+    """`x` itself if ||x||_1 <= tau as ``np.sum(np.abs(x))`` sums it, else a
+    copy rescaled by the few ulps by which a vector on the l1 sphere may
+    overshoot it."""
     for _ in range(4):
         total = float(np.sum(np.abs(x)))
         if total <= tau:
@@ -114,11 +106,9 @@ def clip_into_l1_ball(x: np.ndarray, tau: float) -> np.ndarray:
 
 
 def project_k_tau(w: np.ndarray, c: ConstraintSet) -> np.ndarray:
-    """Euclidean projection onto {x : ||x||_0 <= k and ||x||_1 <= tau}.
-
-    Computed as hard thresholding to the top-k support followed by an l1
-    projection of the surviving entries; ValueError for k above len(w).
-    """
+    """Euclidean projection onto {x : ||x||_0 <= k and ||x||_1 <= tau}: the
+    l1 projection of the top-k hard threshold.  ValueError for k above
+    len(w)."""
     w = as_vector(w, "w")
     if c.k > w.size:
         raise ValueError(f"k={c.k} exceeds vector length {w.size}")

@@ -1,17 +1,12 @@
-"""Hard-thresholding pursuits and the projected-gradient Lasso baseline.
+"""Hard-thresholding pursuits and the projected-gradient Lasso baseline:
+`clash_solve`, the joint (k, tau) pursuit, `sp_solve`, subspace pursuit,
+and the baselines `lasso_pg_solve` and `iht_solve`.
 
-* `clash_solve` - the joint (k, tau) pursuit.  Its loop is `_clash_loop`,
-  its exact inner solve `_l1_restricted_lsq`, and its portfolio of warm
-  starts `_pursue`.
-* `sp_solve` - subspace pursuit, `clash_solve` at tau = inf.
-* `lasso_pg_solve` - monotone FISTA over the l1 ball, a baseline.
-* `iht_solve` - normalized iterative hard thresholding, a baseline.
-
-All top-k selections break magnitude ties toward the lowest index, so
-every solver is deterministic given its inputs.  Every solver checks
-its system by `numerics.as_system` and solves at a power-of-two scale of f
-(`_unit_scale`).  The stop tests of SP, CLASH and IHT are relative, so
-scaling Phi by c scales their answer by 1/c.
+Every solver checks its system by `numerics.as_system`, solves at a
+power-of-two scale of f (`_unit_scale`) and breaks magnitude ties toward
+the lowest index, so it is deterministic given its inputs.  The stop
+tests of SP, CLASH and IHT are relative: scaling Phi by c scales their
+answer by 1/c.
 """
 
 from __future__ import annotations
@@ -21,12 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _restricted_lsq, as_system, as_vector, check_budget, check_count, independent
-from .projections import clip_into_l1_ball, hard_threshold, l1_project, top_k_support
+from .projections import clip_into_l1_ball, l1_project, top_k_support
 from .results import SolverResult
 
 
 # (stage budgets as fractions of tau, momentum) for each warm start of
-# `clash_solve`, in the order `_pursue` runs them
+# `clash_solve`, in the order `_pursue` runs them.  The loop can stall short
+# of the best solution near its phase transition.  Stage budgets ascend
+# inside (0, 1), so each stage's answer lies in the next stage's ball, and
+# early stages shrink harder, where supports are easier to find.  The
+# one-loop members come first, so that stop (4) can end the portfolio after
+# one loop.
 CONTINUATION_PORTFOLIO: tuple[tuple[tuple[float, ...], bool], ...] = (
     ((), False),
     ((), True),
@@ -54,9 +54,9 @@ _LASSO_SHRINK = 0.9
 
 @dataclass
 class PursuitConfig:
-    """Budgets of the pursuits: the sparsity k and the l1 budget tau,
-    +inf for none (SP).  Nothing else is settable: `_clash_loop` and
-    `_pursue` state the stops, and every inner solve is exact.
+    """The sparsity k and the l1 budget tau, +inf for none (SP), checked
+    on construction.  Nothing else is settable: the stops are fixed
+    (`_clash_loop`, `_pursue`) and every inner solve is exact.
     """
 
     sparsity: int
@@ -90,11 +90,9 @@ def _unit_scale(f: np.ndarray, *budgets: float) -> tuple:
     """(e, 2^-e f, 2^-e b for each budget b), e the binary exponent of
     max |f|, so the scaled f peaks in [1/2, 1); `_scale_back` undoes it.
 
-    Power-of-two scaling is exact, so each solver's answer is the one on
-    f itself (Lasso's with `tol` scaled too), but an f near either end of
-    the float64 range neither overflows nor underflows the residual norms
-    and objectives the steps compare.  A budget that overflows at f's
-    scale becomes inf and cannot bind.
+    The scaling is exact, so a solver's answer is the one on f itself, but
+    the residual norms and objectives it compares neither overflow nor
+    underflow.  A budget that overflows becomes inf and cannot bind.
     """
     e = np.frexp(np.max(np.abs(f)))[1]
     with np.errstate(over="ignore"):
@@ -120,10 +118,9 @@ def _scale_back(e: int, result: SolverResult, iterates: list | None = None):
 
 def _power_iter_cols(a: np.ndarray) -> float:
     """Largest eigenvalue of A^T A by power iteration, without forming
-    the Gram matrix, from the uniform unit vector, or, if that lies in A's
-    null space, from the unit vector of A's longest column: positive
-    whenever A is nonzero (short of underflow).  Raises ValueError if the
-    estimate overflows."""
+    A^T A, from the uniform unit vector, or from A's longest column if that
+    meets A's null space: positive whenever A is nonzero, short of
+    underflow.  ValueError if the estimate overflows."""
     n = a.shape[1]
     lam = _power_iter(a, np.full(n, 1.0 / np.sqrt(n)))
     if lam == 0.0 and np.any(a):
@@ -161,18 +158,13 @@ def _l1_restricted_lsq(
     factor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Exact minimizer of ||f - Phi v||_2^2 over supp(v) in `support`,
-    ||v||_1 <= tau, and its factorization.
-
-    G = Phi_S^T Phi_S and b = Phi_S^T f are formed once, and
-    `_l1_active_set` finds the minimizer from the signs of `warm`; the
-    support may hold more columns than Phi has rows.  A factorization is
-    (columns, G_AA^{-1}) for the ordered active columns A.  `factor`, if
-    given, is the one of exactly the nonzeros of `warm`, and `support`
-    must then be sorted.  When the unconstrained fit lies inside the ball
-    the answer is that fit, off the l1 sphere; when it lies outside, even
-    by rounding, the answer is on the sphere.  Returns a full-length
-    vector, zero off the support, whose l1 norm summed over the full
-    length is at most tau, and the factorization the pivoting ended on.
+    ||v||_1 <= tau, found by `_l1_active_set` from the signs of `warm`, and
+    the factorization (columns, G_AA^{-1}) of the ordered active columns A
+    it ended on.  The support may hold more columns than Phi has rows.
+    `factor`, if given, is that of exactly the nonzeros of `warm`, and
+    `support` must then be sorted.  The answer is full-length, zero off the
+    support, with l1 norm at most tau summed over the full length; it is
+    the unconstrained fit if that lies inside the ball, else on the sphere.
     """
     m, n = phi.shape
     out = np.zeros(n)
@@ -195,11 +187,9 @@ _BLOCK = 64
 def _border(gram: np.ndarray, idx: np.ndarray, hinv: np.ndarray) -> np.ndarray | None:
     """G_AA^{-1} for the ordered indices A = `idx` of the Gram matrix G,
     given `hinv`, the inverse for the leading hinv.shape[0] of them (empty
-    to form it from scratch).  The other indices are bordered in `_BLOCK`
-    at a time: with H the inverse so far and c = H G_Aj, the Schur
-    complement G_jj - G_Aj^T c is the square of the Cholesky pivot that
-    column j adds.  None if a column lies numerically in the span of the
-    ones before it, by the rule of `numerics.independent`.
+    to form it from scratch), bordered `_BLOCK` columns at a time.  None if
+    a column lies numerically in the span of the ones before it, by the
+    rule of `numerics.independent`.
     """
     n, m = idx.size, hinv.shape[0]
     h = np.empty((n, n))
@@ -284,37 +274,22 @@ def _l1_active_set(
     rows: int,
     factor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact minimizer of 1/2 x^T G x - b^T x over ||x||_1 <= tau, with
-    the final ordered active positions A and the G_AA^{-1} it ended on.
+    """Exact minimizer x of 1/2 x^T G x - b^T x over ||x||_1 <= tau, with
+    the ordered active positions A it ended on and G_AA^{-1}.
 
-    Block principal pivoting on the sign pattern (Kim & Park 2011): with
-    active set A and signs s, each step solves the face {supp(x) in A,
-    s^T x_A <= tau}: x_A = u - lam v, u = G_AA^{-1} b_A, v = G_AA^{-1} s,
-    lam = max((s^T u - tau) / (s^T v), 0).  Every violator is exchanged:
-    i in A with s_i x_i < 0 leaves, and j off A with |g_j| > lam,
-    g = b - G x, enters with the sign of g_j.  After `_BACKUP` steps that
-    do not lower the count of violators, or at an entry that would make
-    G_AA singular, the backup exchanges one index at a time from x = 0:
-    x moves toward the face minimizer until a coordinate reaches zero and
-    leaves, and at the minimizer the largest violator enters, so the
-    objective falls.  An entered index that the next step moves against
-    its sign entered on rounding noise and is barred.  A column j in the
-    span of A's, c = G_AA^{-1} G_Aj, has g_j = lam s^T c at a face
-    minimizer: if |s^T c| > 1 `_trade` brings it in, else it is barred.
-    Bars and trades use G_AA^{-1} formed from scratch (`_from_scratch`),
-    not its updates by `_border` and `_remove`, which can drift.  When no
-    index enters or leaves, x is returned if the inverse is fresh or the
-    face equations |g_A - lam s_A| hold within the entry test's rounding
-    tolerance (without its 1e-10 lam margin): with g computed from G,
-    those are the optimality conditions, to rounding.  A failed check
-    forms the inverse from scratch and steps again.
+    Block principal pivoting on the sign pattern (Kim & Park 2011), which
+    exchanges every violator at once; after `_BACKUP` steps that do not
+    lower the count of violators, or at an entry that would make G_AA
+    singular, a backup exchanges one index at a time from x = 0, so the
+    objective falls.  x is returned once no index enters or leaves and the
+    optimality conditions hold to rounding, on g = b - G x computed from G.
 
-    Starts from the signs of `start`, on `factor` = (positions,
-    G_AA^{-1}) of exactly its nonzeros if given, which the face check
-    then guards; else on G_AA^{-1} formed from scratch, or from A empty if
-    that block is singular, as with more nonzeros than `rows`.  Raises
-    RuntimeError after 20|S| + 50 steps, or if G_AA^{-1} formed from
-    scratch is singular or indefinite.
+    Starts from the signs of `start`, on `factor` = (positions, G_AA^{-1})
+    of exactly its nonzeros if given; else on G_AA^{-1} formed from
+    scratch, or from A empty if that block is singular or has more than
+    `rows` positions.  RuntimeError after 20|S| + 50 steps, or if an
+    inverse formed from scratch (`_from_scratch`) is singular or
+    indefinite.
     """
     size, g_max = b.size, gram.diagonal().max()
     # rounding bound of g_j = b_j - G_j x, |S| terms with ||x||_1 <= tau;
@@ -342,6 +317,7 @@ def _l1_active_set(
                 raise RuntimeError("l1-constrained least squares: indefinite G_AA")
             hinv, fresh = _from_scratch(gram, act), True
             continue
+        # the minimizer on the face {supp(x) in A, s^T x_A <= tau}
         lam = max(float(sgn @ u - tau) / curve, 0.0)
         za = u - lam * v
         if xa is not None and act.size:
@@ -350,6 +326,8 @@ def _l1_active_set(
                 if act[i] == entered and not fresh:
                     hinv, fresh = _from_scratch(gram, act), True
                     continue
+                # an index that leaves right after entering entered on
+                # rounding noise
                 if act[i] == entered:
                     barred[entered] = True
                 keep, hinv = _remove(hinv, [i])
@@ -404,6 +382,9 @@ def _l1_active_set(
             xa = np.zeros(act.size)
             hinv, fresh = _from_scratch(gram, act), True
             continue
+        # j lies in the span of A's columns; bars and trades decide on an
+        # inverse formed from scratch, as updates by `_border` and `_remove`
+        # drift.  With c = G_AA^{-1} G_Aj, g_j = lam s^T c at a face minimizer
         j, sj = enter[0], np.sign(g[enter[0]])
         if not fresh:
             hinv, fresh = _from_scratch(gram, act), True
@@ -424,13 +405,11 @@ def sp_solve(
     phi: np.ndarray, f: np.ndarray, cfg: PursuitConfig
 ) -> tuple[SolverResult, list[np.ndarray]]:
     """Subspace pursuit (Dai & Milenkovic 2009): `clash_solve` at
-    tau = inf, whatever `cfg.tau` is, so one run of `_clash_loop` from
-    alpha = 0 with restricted least squares as its inner solve.
-
-    Returns the result and the list of iterates, as `clash_solve` does.
-    The first iteration is the least-squares fit on the top-k
-    correlations of Phi^T f, and it counts in `iterations` and is entry 0
-    of the history and of the iterates.
+    tau = inf, whatever `cfg.tau` is, so one `_clash_loop` from alpha = 0
+    with restricted least squares as its inner solve.  Returns the result
+    and the iterates as `clash_solve` does; the first iterate, the
+    least-squares fit on the top-k correlations of Phi^T f, counts in
+    `iterations` and is entry 0 of the history and of the iterates.
     """
     return _pursue(phi, f, cfg.sparsity, np.inf)
 
@@ -447,46 +426,35 @@ def _clash_loop(
     target: np.ndarray | None = None,
 ) -> tuple[SolverResult, list[np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
     """The four steps of `clash_solve` at a fixed budget (k, tau), from
-    alpha0.  Returns the result, the list of iterates and the
-    factorization of the last iterate.
-
-    The result holds the last iterate, its residual norm, the residual
-    norm of every iterate as history, the iteration count and the
-    termination.  Each iterate is a fresh array, never written again, so
-    the list holds the arrays themselves, not copies.  The expansion ranks
-    g = Phi^T (f - Phi alpha) off the support, or with `momentum` the same
-    at an extrapolation of the last two iterates.  The de-bias is skipped
-    when pruning keeps every nonzero of the step-2 answer, which then
-    also minimizes over the pruned support.
+    alpha0.  Returns the result, which holds the last iterate and the
+    residual norm of every iterate as history; the list of iterates, each a
+    fresh array never written again; and the factorization of the last
+    iterate.  With `momentum` the expansion ranks the correlations at an
+    extrapolation of the last two iterates.
 
     Stops: "converged" once the relative iterate change is at most 1e-6;
-    "max-iterations" after 100 iterations; "repeat" once an iterate
-    equals `target` entry for entry; at tau = inf, "residual stopped
-    decreasing" when an iterate's residual norm exceeds the one before,
-    which is dropped, as in subspace pursuit; and at a finite tau without
-    momentum, "certified", not counting the iteration it skips, once an
-    iterate after the first iteration has a duality gap over the whole
-    tau-ball within its rounding (`_duality_gap`), taken on the g of the
-    next expansion: alpha then minimizes over every extended support, and
-    the next iteration would return it.
+    "max-iterations" after 100 iterations; "repeat" once an iterate equals
+    `target` entry for entry; at tau = inf, "residual stopped decreasing"
+    when the residual norm rises, dropping that iterate; and at a finite tau
+    without momentum, "certified", not counting the iteration it skips,
+    once an iterate after the first has a duality gap within its rounding
+    (`_duality_gap`), taken on the next expansion's correlations.
 
-    `memo` caches inner answers across every loop that shares it: under
-    (tau, support) it holds the read-only values of the answer on the
-    support and its factorization, the (columns, G_AA^{-1}) its solve
-    ended on (`_l1_restricted_lsq`), or None at tau = inf and for an
-    answer of more than k nonzeros, which cannot become an iterate.  A
-    support met before at the same budget is not solved again: the
-    minimizer is unique while G_SS is nonsingular, so another warm start
-    would change its rounding only.  Step 2 starts from the iterate's
-    factorization when its columns are exactly the iterate's nonzeros:
-    `factor` for alpha0, then each iterate's own.  The de-bias forms its
-    inverse from scratch.
+    `memo` holds the inner answers of every loop that shares it, under
+    (tau, support): the answer's values on the support and the
+    factorization its solve ended on (`_l1_restricted_lsq`), or None at
+    tau = inf and for an answer of more than k nonzeros.  A support met
+    before at the same budget is not solved again.  Step 2 starts from the
+    iterate's factorization when its columns are exactly the iterate's
+    nonzeros: `factor` for alpha0, then each iterate's own.
     """
     norm_active = np.isfinite(tau)
     memo = {} if memo is None else memo
 
     def inner(support: np.ndarray, warm: np.ndarray, warm_factor=None):
         key = (tau, support.tobytes())
+        # the minimizer is unique while G_SS is nonsingular, so another warm
+        # start would change only its rounding
         if key not in memo:
             if norm_active:
                 solved, formed = _l1_restricted_lsq(phi, f, support, tau, warm, warm_factor)
@@ -518,6 +486,8 @@ def _clash_loop(
             corr = phi.T @ residual
             if certify and it > 0:
                 gap, rounding = _duality_gap(phi, f, alpha, tau, corr)
+                # alpha minimizes over every extended support: the next
+                # iteration would return it
                 if gap <= rounding:
                     termination = "certified"
                     break
@@ -539,8 +509,7 @@ def _clash_loop(
             # support: the de-bias would return it again
             alpha_new = v
         else:
-            gamma = hard_threshold(v, k)
-            alpha_new, factor_new = inner(np.nonzero(gamma)[0], gamma)
+            alpha_new, factor_new = inner(top_k_support(v, k), v)
         residual_new = f - phi @ alpha_new
         res_norm_new = float(np.sqrt(residual_new @ residual_new))
         if not norm_active and res_norm_new > res_norm:
@@ -568,23 +537,19 @@ def clash_solve(
 ) -> tuple[SolverResult, list[np.ndarray]]:
     """Joint sparsity-and-norm pursuit.
 
-    Per iteration: (1) active set expansion - union the current support
-    with the k strongest gradient coordinates from its complement;
-    (2) greedy descent with shrinkage - l1-constrained least squares over
-    the <= 2k extended support; (3) combinatorial selection - prune to the
-    k largest entries; (4) de-bias - l1-constrained least squares on the
-    pruned support, so every iterate has at most k nonzeros and an l1
-    norm, summed over the full length, of at most tau.  Steps 2 and 4 are
-    solved exactly (`_l1_restricted_lsq`), warm-started from the current
-    iterate and from the pruned vector; RuntimeError if one fails to
-    reach the optimum.  `_clash_loop` runs the iteration and states its
-    stops and its cache of inner answers.
+    Each iteration (1) expands the support by the k strongest gradient
+    coordinates off it, (2) solves l1-constrained least squares over the
+    <= 2k extended support, (3) prunes to the k largest entries and (4)
+    de-biases by l1-constrained least squares on the pruned support, so
+    every iterate has at most k nonzeros and an l1 norm, summed over the
+    full length, of at most tau.  Steps 2 and 4 are exact
+    (`_l1_restricted_lsq`); RuntimeError if one fails to reach the optimum.
+    `_clash_loop` states the stops and the inner-answer memo, and `_pursue`
+    the portfolio of warm starts that a finite tau runs.
 
-    With a finite tau the loop runs from a portfolio of warm starts and
-    the smallest final residual wins; `_pursue` states the order and the
-    stops.  Returns the result and the list of iterates of the winning
-    member's full-budget loop, whose history and iteration count the
-    result reports.  With tau = inf both are `sp_solve`'s.
+    Returns the result and the list of iterates of the winning member's
+    full-budget loop, whose history and iteration count the result reports.
+    With tau = inf both are `sp_solve`'s.
     """
     return _pursue(phi, f, cfg.sparsity, cfg.tau)
 
@@ -596,60 +561,41 @@ def _duality_gap(
     tau: float,
     g: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Frank-Wolfe duality gap of alpha for min 1/2 ||f - Phi a||_2^2 over
-    ||a||_1 <= tau (Jaggi 2013), and the rounding bound of its computation.
-
-    With g = Phi^T (f - Phi alpha), the negative gradient, the gap is
-    tau ||g||_inf - g^T alpha.  For a feasible alpha it is at least
-    1/2 ||f - Phi alpha||_2^2 - P*, P* the minimum over the whole ball, and
-    it is 0 at a minimizer.  The bound, M eps (tau ||g||_inf + |g|^T |alpha|)
-    with M = Phi's row count, is the rounding of a gap computed at a
-    minimizer: each g_j sums M products.  `g`, if given, is that negative
-    gradient, already computed.
+    """Frank-Wolfe duality gap tau ||g||_inf - g^T alpha of alpha for
+    min 1/2 ||f - Phi a||_2^2 over ||a||_1 <= tau (Jaggi 2013), with
+    g = Phi^T (f - Phi alpha) computed unless given, and the rounding bound
+    M eps (tau ||g||_inf + |g|^T |alpha|) of a gap computed at a minimizer.
+    For a feasible alpha the gap is at least the objective's excess over
+    the ball's minimum, and it is 0 at a minimizer.
     """
     if g is None:
         g = phi.T @ (f - phi @ alpha)
     top = tau * float(np.max(np.abs(g)))
     scale = top + float(np.abs(g) @ np.abs(alpha))
+    # each g_j sums M products
     return top - float(g @ alpha), phi.shape[0] * np.finfo(np.float64).eps * scale
 
 
 def _pursue(
     phi: np.ndarray, f: np.ndarray, k: int, tau: float
 ) -> tuple[SolverResult, list[np.ndarray]]:
-    """The body of `clash_solve` and `sp_solve`: one cold start from
-    alpha = 0 when tau is infinite, else the portfolio of warm starts.
-
-    The loop can stall on fixed points short of the best solution near
-    its recovery phase transition, so each member of
-    `CONTINUATION_PORTFOLIO` runs in turn from alpha = 0: a `_clash_loop`
-    at each stage budget, then one at tau.  The stage budgets are
-    fractions of tau ascending inside (0, 1): early stages shrink harder,
-    where supports are easier to find, and each stage's answer lies in
-    the next stage's ball, so the projection before each loop returns its
-    input.  Each stage loop hands its last factorization to the next, and
-    all loops share one inner-answer cache.  The smallest final residual
-    wins, ties keeping the earliest member.  The two one-loop members
-    come first, so that stop (4) can end the portfolio after one loop
-    rather than a staged member's several; CHANGES.md records the census
-    that chose the members and their order.
+    """The body of `clash_solve` and `sp_solve`: one `_clash_loop` from
+    alpha = 0 at tau = inf; else each member of `CONTINUATION_PORTFOLIO` in
+    turn from alpha = 0, a loop at each stage budget and then one at tau.
+    A member's loops hand their last factorization on, and all loops share
+    one memo.  The smallest final residual wins, ties keeping the earliest
+    member.
 
     The portfolio stops after a member once
     (1) the best run so far fits f to 1e-6 relative;
     (2) three members in a row lower the best residual by less than 0.5 %;
-    (3) the best run's alpha is certified optimal: its duality gap
+    (3) the best run's alpha has a duality gap within its rounding
         (`_duality_gap`) over the whole l1 ball, which holds the (k, tau)
-        feasible set, is within the gap's rounding, so no later member
-        can end lower but by rounding; or
+        feasible set, so no later member can end lower but by rounding; or
     (4) the member ends on the best run's alpha, entry for entry, and that
-        alpha's l1 norm is within nnz eps tau of tau: a second warm start
-        has reached the same point with the budget binding.  Each later
-        member's full-budget loop gets that alpha as its `target` and
-        ends "repeat" on reaching it.
-    The gap of (3) is taken when the best run changes, unless its
-    full-budget loop ended "certified", the same test on the same alpha.
-    Stops (2) and (4) are heuristics: a later member may end lower.  The
-    solve runs at a power-of-two scale of f and tau (`_unit_scale`).
+        alpha's l1 norm is within nnz eps tau of tau.  Each later member's
+        full-budget loop gets that alpha as its `target`.
+    Stops (2) and (4) are heuristics: a later member may end lower.
     """
     phi, f = as_system(phi, f)
     _check_sparsity(k, phi)
@@ -701,33 +647,22 @@ def lasso_pg_solve(
     max_iter: int = 2000,
 ) -> SolverResult:
     """Monotone FISTA with adaptive restart for min ||f - Phi a||_2^2 over
-    ||a||_1 <= tau.
+    ||a||_1 <= tau: projected-gradient steps from a point y extrapolated
+    with Nesterov's weights, with Beck & Teboulle (2009)'s backtracking on a
+    trial curvature that never exceeds L, the largest eigenvalue of
+    Phi^T Phi (`_power_iter_cols`), and the gradient restart of O'Donoghue &
+    Candes (2015).  A step that would raise the objective is not taken, so
+    the history, the residual 2-norm after each iteration, is non-increasing.
 
-    Each iteration takes a projected-gradient step z = P(y - Phi^T
-    (Phi y - f) / c) from y, the best point x extrapolated along
-    x - x_prev with Nesterov's weights.  The trial curvature c shrinks by
-    0.9 each iteration and doubles until ||Phi (z - y)||^2 <= c ||z - y||^2,
-    the quadratic upper bound of the objective at y (Beck & Teboulle
-    2009's backtracking).  It never exceeds L, the largest eigenvalue of
-    Phi^T Phi (`_power_iter_cols`), and at L the step is taken
-    unconditionally.  z replaces x only if it does not raise the
-    objective.  The momentum restarts (y = x) when z is rejected, or when
-    (y - z)^T (x - x_prev) > 0, the gradient restart of O'Donoghue &
-    Candes (2015).  The residuals at x and x_prev are carried, and the one
-    at y is their combination, so an iteration costs two products with
-    Phi, plus one per failed test of the bound.
-
-    Termination: "converged" once ||z - y|| L <= `tol`, which bounds the
-    gradient-mapping norm at step 1/L by `tol`, the step at c <= L being
-    at least as long; "stalled" once a plain step from the best point (the
-    first step, or the first after a restart) does not lower the objective
-    in floating point; "max-iterations" after `max_iter` iterations; and
-    "degenerate", with no iteration, when tau = 0 or Phi = 0.  `tol` is
-    absolute, so scaling Phi by c does not scale the answer by 1/c.  The
-    history holds the residual 2-norm at x after each iteration, so it is
-    non-increasing.  tau and `tol` are checked by `check_budget`, and
-    `max_iter` by `check_count`.  The solve runs at a power-of-two scale
-    of f, tau and `tol` (`_unit_scale`).
+    Termination: "converged" once the step z from y has ||z - y|| L <=
+    `tol`, which bounds the gradient-mapping norm at step 1/L by `tol`;
+    "stalled" once a plain step from the best point, the first or the first
+    after a restart, does not lower the objective in floating point;
+    "max-iterations" after `max_iter` iterations; and "degenerate", with no
+    iteration, when tau = 0 or Phi = 0.  `tol` is absolute, so scaling Phi
+    by c does not scale the answer by 1/c; it is scaled with f
+    (`_unit_scale`).  tau and `tol` go through `check_budget`, and
+    `max_iter` through `check_count`.
     """
     phi, f = as_system(phi, f)
     check_budget("tau", tau)
@@ -738,10 +673,9 @@ def lasso_pg_solve(
     x = np.zeros(n)
     lam = _power_iter_cols(phi)
     if lam == 0.0 or tau == 0.0:
-        alpha = l1_project(x, tau)
-        r = phi @ alpha - f
+        r = phi @ x - f
         nrm = float(np.sqrt(r @ r))
-        return _scale_back(e, SolverResult(alpha, nrm, nrm, [nrm], 0, "degenerate"))
+        return _scale_back(e, SolverResult(x, nrm, nrm, [nrm], 0, "degenerate"))
     curve = lam
     rx = phi @ x - f
     fx = float(rx @ rx)
@@ -756,6 +690,8 @@ def lasso_pg_solve(
             y, ry = x, rx
         else:
             y = x + beta * (x - x_prev)
+            # carried residuals: an iteration makes two products with Phi,
+            # plus one per failed test of the bound
             ry = rx + beta * (rx - rx_prev)
         grad = phi.T @ ry
         curve *= _LASSO_SHRINK
@@ -788,25 +724,17 @@ def lasso_pg_solve(
 
 def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     """Normalized iterative hard thresholding (Blumensath & Davies 2010):
-    a <- H_k(a + mu * g), g = Phi^T (f - Phi a), H_k keeping the k
-    largest magnitudes.
+    a <- H_k(a + mu g), g = Phi^T (f - Phi a), H_k keeping the k largest
+    magnitudes, from the support S of the top k of |Phi^T f|.
 
-    The support S starts as the top k of |Phi^T f|.  The step mu is the
-    exact line search along g_S, ||g_S||^2 / ||Phi g_S||^2.  When the
-    thresholded point leaves S, mu is divided by kappa (1 - c), with
-    c = 0.01 and kappa = 2, until mu <= (1 - c) ||d||^2 / ||Phi d||^2 for
-    the move d; then the residual norm cannot rise.  Stops with
-    "converged" once the relative iterate change is at most 1e-6 or
-    Phi g_S = 0, else after 500 iterations with "max-iterations".  The
-    history holds the residual 2-norm after each iteration.  The solve
-    runs at a power-of-two scale of f (`_unit_scale`).
-
-    The residual is carried, f - Phi a - Phi d, with Phi d = mu Phi g_S
-    when S does not change.  The columns Phi_S are kept, gathered again
-    only when S changes, and Phi g_S and each trial move Phi d are formed
-    from them and from the columns entering S, so an iteration makes one
-    product with all of Phi, for g.  The returned residual norm is
-    recomputed from the returned a.
+    The step mu is the exact line search along g_S, divided by kappa (1 - c)
+    while the thresholded point leaves S and mu > (1 - c) ||d||^2 /
+    ||Phi d||^2 for the move d, with c = 0.01 and kappa = 2, so the residual
+    norm cannot rise.  Stops with "converged" once the relative iterate
+    change is at most 1e-6 or Phi g_S = 0, else after 500 iterations with
+    "max-iterations".  The history holds the residual 2-norm after each
+    iteration, the last recomputed from the returned a.  ValueError if the
+    step overflows.
     """
     phi, f = as_system(phi, f)
     _check_sparsity(k, phi)
@@ -815,6 +743,8 @@ def iht_solve(phi: np.ndarray, f: np.ndarray, k: int) -> SolverResult:
     r = f
     g = phi.T @ f
     support = top_k_support(g, k)
+    # Phi_S is gathered again only when S changes, so an iteration makes
+    # one product with all of Phi, for g
     phi_s = phi[:, support]
     on_s = np.zeros(g.size, dtype=bool)
     on_s[support] = True

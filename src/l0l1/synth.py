@@ -166,16 +166,12 @@ def _matrix(seed: int, m: int, n: int, matrix_scaling: str) -> np.ndarray:
 
 
 def generate(spec: ProblemSpec) -> GeneratedProblem:
-    """Realize a ProblemSpec.
-
-    The measurement matrix has iid Gaussian entries under the chosen
-    scaling; the support is uniform without replacement; on-support
-    entries are iid standard normal, then the signal is normalized to unit
-    2-norm; the noise is iid N(0, sigma^2) in "std" mode or rescaled to
-    2-norm exactly sigma in "fixed-norm" mode.  Fully determined by
-    spec.seed.  The matrix is read-only, and a call with the same seed,
-    M, N and scaling as the call before returns that call's matrix, the
-    same array, without drawing it again.
+    """Realize a ProblemSpec, fully determined by spec.seed: an iid Gaussian
+    matrix under the chosen scaling, a uniform support, on-support entries
+    iid standard normal normalized to unit 2-norm, and noise iid
+    N(0, sigma^2) in "std" mode or of 2-norm exactly sigma in "fixed-norm"
+    mode.  The matrix is read-only and kept as the module docstring states
+    (`_matrix`).
     """
     phi = _matrix(spec.seed, spec.m, spec.n, spec.matrix_scaling)
 
@@ -200,13 +196,11 @@ def generate(spec: ProblemSpec) -> GeneratedProblem:
 def rip_probe(
     phi: np.ndarray, s: int, q: float, trials: int, seed: int
 ) -> float:
-    """Empirical lower bound on the restricted-isometry constant in lq.
-
-    Draws `trials` random s-sparse unit-q-norm vectors and returns the
-    largest observed deviation |  ||phi a||_q - 1 |.  Because the probes
-    are random rather than adversarial this is a LOWER bound on the true
-    constant, never a certificate.  Phi is checked by `numerics.as_matrix`,
-    `s`, `trials` and `seed` by `numerics.check_count`, and an `s` above N
+    """Empirical lower bound on the restricted-isometry constant in lq: the
+    largest deviation |  ||phi a||_q - 1 | over `trials` random s-sparse
+    unit-q-norm vectors.  Random probes are not adversarial, so this is
+    never a certificate.  Phi goes through `numerics.as_matrix`, `s`,
+    `trials` and `seed` through `numerics.check_count`, and an `s` above N
     raises ValueError.
     """
     phi = as_matrix(phi, "Phi")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,17 @@ class TestInputChecks:
         # numpy warns as the bound's products overflow
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="loss bound"):
             solve(phi, scale * f, GameConfig(rounds=20, tau=tau))
+
+    def test_residual_l2_beyond_the_normal_range_is_finite(self):
+        # the squares of a residual near 1e200 overflowed: residual_l2 read
+        # inf, after a RuntimeWarning, while residual_q was finite
+        rng = np.random.default_rng(0)
+        phi, f = rng.normal(size=(20, 40)) / np.sqrt(20), rng.normal(size=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, _ = dantzig_game_solve(phi, 1e200 * f, GameConfig(20, 2, 2e200))
+        assert np.isfinite(res.residual_l2)
+        assert res.residual_l2 >= res.residual_q
 
 
 class TestGameSolve:

@@ -72,6 +72,15 @@ class TestLpNorm:
     def test_l2(self):
         assert lp_norm(np.array([3.0, -4.0]), 2) == 5.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_l2_outside_the_normal_range(self, scale):
+        # the sum of squares overflowed to inf, with a RuntimeWarning, or
+        # underflowed to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_norm(np.array([3.0, -4.0]) * scale, 2)
+        np.testing.assert_allclose(got, 5.0 * scale, rtol=1e-15)
+
     def test_l1(self):
         assert lp_norm(np.array([3.0, -4.0]), 1) == 7.0
 

@@ -309,3 +309,12 @@ class TestProjectionProperties:
         assert np.count_nonzero(mine) <= k
         assert np.abs(mine).sum() <= tau
         assert np.sum((mine - w) ** 2) <= best_d + 1e-9 * max(1.0, float(w @ w))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(w=small_vectors)
+    def test_top_k_support_is_the_support_of_hard_threshold(self, w):
+        # CLASH prunes a vector of more than k nonzeros to top_k_support,
+        # and its inner-answer memo is keyed on the bytes of the support
+        for k in range(1, np.count_nonzero(w)):
+            kept = np.flatnonzero(hard_threshold(w, k))
+            assert top_k_support(w, k).tobytes() == kept.tobytes()
