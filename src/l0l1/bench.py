@@ -193,14 +193,13 @@ class ExperimentPlan:
             check_count("game_rounds", self.game_rounds)
         # the instance settings, checked as each cell will check them
         for sigma in self.sigma_grid:
-            ProblemSpec(
-                n=self.n,
-                m=self.m,
-                k=self.k,
-                sigma=sigma,
-                matrix_scaling=self.matrix_scaling,
-                noise_mode=self.noise_mode,
-            )
+            self.spec(sigma)
+
+    def spec(self, sigma: float, seed: int = 0) -> ProblemSpec:
+        """The instance at noise level `sigma` drawn from `seed`."""
+        return ProblemSpec(
+            self.n, self.m, self.k, sigma, seed, self.matrix_scaling, self.noise_mode
+        )
 
     @property
     def rounds(self) -> int:
@@ -242,16 +241,7 @@ def _run_cell(plan: ExperimentPlan, grid_index: int, trial: int) -> list[TrialRe
     """All solver records for one (grid point, trial) cell."""
     sigma, tau_mult = plan.grid()[grid_index]
     seed = derive_seed(plan.seed, trial)
-    spec = ProblemSpec(
-        n=plan.n,
-        m=plan.m,
-        k=plan.k,
-        sigma=sigma,
-        seed=seed,
-        matrix_scaling=plan.matrix_scaling,
-        noise_mode=plan.noise_mode,
-    )
-    problem = generate(spec)
+    problem = generate(plan.spec(sigma, seed))
     tau = tau_mult * problem.tau_star
     truth_norm = float(np.sqrt(np.sum(problem.alpha_star**2)))
     records = []

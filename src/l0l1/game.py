@@ -79,9 +79,8 @@ def holder_optimal_dual(
         nrm = float(np.sqrt(r @ r))
         return np.zeros_like(r) if nrm == 0.0 else r / nrm
     out = np.zeros_like(r)
-    i = int(np.argmax(np.abs(r)))
-    if r[i] != 0.0:
-        out[i] = np.sign(r[i])
+    i, sign = _best_index(r)
+    out[i] = sign
     return out
 
 
@@ -99,8 +98,7 @@ def sparse_best_response(
     check_budget("tau", tau, positive=True, finite=True)
     i, sign = _best_index(phi.T @ as_vector(p, "p", phi.shape[0]))
     out = np.zeros(phi.shape[1])
-    if sign != 0.0:
-        out[i] = -tau * sign
+    out[i] = -tau * sign
     return out
 
 
@@ -297,12 +295,9 @@ def _play(correlate, column, apply, f, n, g_bound, cfg):
     for _ in range(t_rounds):
         p_t = decode(dual)
         i, sign = _best_index(correlate(p_t))
-        if sign != 0.0:
-            # A play - f by a column lookup: the dense product adds only zeros
-            residual_t = (-tau * sign) * column(i) - f
-            play_counts[i] -= int(sign)
-        else:
-            residual_t = -f
+        # A play - f by a column lookup: the dense product adds only zeros
+        residual_t = (-tau * sign) * column(i) - f
+        play_counts[i] -= int(sign)
         history.append(float(p_t @ residual_t))
         dual = _dual_step(dual, residual_t, rate, lifted)
 

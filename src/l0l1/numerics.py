@@ -84,8 +84,6 @@ def as_index_set(support, n: int) -> np.ndarray:
         s = raw.astype(np.int64)
     if raw.dtype == bool or not np.array_equal(s, raw):
         raise ValueError("support indices must be integers, not fractions or a boolean mask")
-    if s.size == 0:
-        return s
     if np.any(s < 0) or np.any(s >= n):
         raise ValueError(f"support indices must lie in [0, {n})")
     if np.any(np.diff(s) <= 0):
@@ -111,8 +109,6 @@ def lp_norm(x: np.ndarray, p: float) -> float:
                 e = np.frexp(np.max(np.abs(x)))[1]
                 return float(np.ldexp(np.sqrt(np.sum(np.ldexp(x, -e) ** 2)), e))
         return float(np.sqrt(sq))
-    if p == 1:
-        return float(np.sum(np.abs(x)))
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 

@@ -75,14 +75,12 @@ def l1_project(w: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError(f"l1_project needs a finite ||w||_1, got {total}")
     if total <= tau:
         return w.copy()
-    if tau == 0:
-        return np.zeros_like(w)
     u = np.sort(mags)[::-1]
     cum = np.cumsum(u)
     j = np.arange(1, u.size + 1)
     above = u > (cum - tau) / j
     # u_0 > u_0 - tau holds for every tau > 0, but not in floating point
-    # once tau is below the rounding of u_0
+    # once tau is below the rounding of u_0; at tau = 0, theta = max |w|
     above[0] = True
     rho = int(np.nonzero(above)[0][-1])
     theta = (cum[rho] - tau) / (rho + 1)

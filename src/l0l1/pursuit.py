@@ -686,13 +686,10 @@ def lasso_pg_solve(
     for iterations in range(1, max_iter + 1):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        if beta == 0.0:
-            y, ry = x, rx
-        else:
-            y = x + beta * (x - x_prev)
-            # carried residuals: an iteration makes two products with Phi,
-            # plus one per failed test of the bound
-            ry = rx + beta * (rx - rx_prev)
+        y = x + beta * (x - x_prev)
+        # carried residuals: an iteration makes two products with Phi,
+        # plus one per failed test of the bound
+        ry = rx + beta * (rx - rx_prev)
         grad = phi.T @ ry
         curve *= _LASSO_SHRINK
         while True:

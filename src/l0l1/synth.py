@@ -182,9 +182,7 @@ def generate(spec: ProblemSpec) -> GeneratedProblem:
     alpha_star[support] = entries
 
     z = gaussians(philox_stream(spec.seed, NOISE_STREAM), spec.m)
-    if spec.sigma == 0.0:
-        noise = np.zeros(spec.m)
-    elif spec.noise_mode == "std":
+    if spec.noise_mode == "std":
         noise = spec.sigma * z
     else:
         noise = z * (spec.sigma / np.sqrt(np.sum(z * z)))

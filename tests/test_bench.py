@@ -84,6 +84,14 @@ class TestPlans:
     def test_game_rounds_default(self):
         assert preset_plan("dantzig-noise").rounds == 80
 
+    def test_spec_carries_the_plan_settings(self):
+        plan = ExperimentPlan(n=40, m=20, k=3, matrix_scaling="unit",
+                              noise_mode="fixed-norm")
+        assert plan.spec(0.5, 9) == ProblemSpec(
+            n=40, m=20, k=3, sigma=0.5, seed=9,
+            matrix_scaling="unit", noise_mode="fixed-norm",
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentPlan(experiment="bogus")

@@ -20,7 +20,7 @@ from l0l1.game import (
 )
 from l0l1.numerics import lp_norm
 from l0l1.projections import clip_into_l1_ball
-from l0l1.pursuit import lasso_pg_solve
+from l0l1.pursuit import PursuitConfig, clash_solve, lasso_pg_solve
 
 
 class TestLoss:
@@ -362,6 +362,25 @@ class TestInputChecks:
         # numpy warns as the bound's products overflow
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="loss bound"):
             solve(phi, scale * f, GameConfig(rounds=20, tau=tau))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="GAME does not solve at a power-of-two scale of f and tau as the pursuits "
+        "do, so its loss bound G overflows at scales where CLASH solves",
+    )
+    def test_a_power_of_two_scale_of_f_and_tau_scales_the_answer(self):
+        # scaling by f's exponent alone would overflow G for a tiny f with
+        # tau near 1, so the mend is open; at 2^498 the game solves
+        rng = np.random.default_rng(12)
+        phi, f = rng.normal(size=(20, 40)) / np.sqrt(20), rng.normal(size=20)
+        c = 2.0**532  # about 1.4e160
+        clash, _ = clash_solve(phi, c * f, PursuitConfig(3, c))
+        assert np.isfinite(clash.residual_l2)
+        ref, _ = game_solve(phi, f, GameConfig(20, 2, 1.0))
+        with np.errstate(over="ignore"):
+            res, _ = game_solve(phi, c * f, GameConfig(20, 2, c))
+        assert np.array_equal(res.alpha, c * ref.alpha)
 
     def test_residual_l2_beyond_the_normal_range_is_finite(self):
         # the squares of a residual near 1e200 overflowed: residual_l2 read

@@ -205,7 +205,10 @@ class TestClash:
     def test_trace_is_the_winning_members_run(self, monkeypatch):
         # C6 instance 44: member 1, the momentum run, wins and members 2-4
         # run after it, so the reported trace is neither member 0's nor the
-        # last run's
+        # last run's.  The seed is the Philox key that instance's seed,
+        # derive_seed(777000, 44) = 10448203204720493016, is drawn under
+        # today (`philox_stream` rounds a key above 2^63 through float64),
+        # so the instance stays when that rounding is mended
         runs = []
         clash_loop = pursuit._clash_loop
 
@@ -214,7 +217,7 @@ class TestClash:
             return runs[-1][1]
 
         monkeypatch.setattr(pursuit, "_clash_loop", recording)
-        spec = ProblemSpec(n=500, m=160, k=62, sigma=0.0, seed=derive_seed(777000, 44))
+        spec = ProblemSpec(n=500, m=160, k=62, sigma=0.0, seed=10448203204720492544)
         p = generate(spec)
         res, trace = clash_solve(p.phi, p.f, PursuitConfig(sparsity=62, tau=p.tau_star))
         c = loop_scale(p.f)
@@ -402,8 +405,10 @@ class TestCertificateStop:
 
     @staticmethod
     def uncertified_case():
-        # clash-tau trial 146 of seed 1
-        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=derive_seed(1, 146),
+        # clash-tau trial 146 of seed 1, pinned to the Philox key its seed,
+        # derive_seed(1, 146) = 15188289518879809469, is drawn under today
+        # (see test_trace_is_the_winning_members_run)
+        p = generate(ProblemSpec(n=500, m=160, k=57, sigma=0.05, seed=15188289518879809536,
                                  noise_mode="fixed-norm"))
         return p, 0.5 * p.tau_star
 
